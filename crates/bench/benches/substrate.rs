@@ -381,13 +381,7 @@ fn bench_hot_state(h: &mut Harness) {
 /// STAMP workloads where idle-scan overhead dominates (the ISSUE 2 target
 /// of at least 2x simulated cycles/sec). Also reported as us/iter so the
 /// baseline comparison treats it like every other benchmark.
-///
-/// The system-level benchmarks honour `PUNO_NOC_EXPRESS` (default on, like
-/// every run entry point): `PUNO_NOC_EXPRESS=0 scripts/bench.sh` measures
-/// the cycle-stepped "before" against the express "after" — the simulated
-/// metrics are bit-identical either way, so the gap is pure host wall-clock.
 fn bench_system_throughput(h: &mut Harness) {
-    let express = puno_harness::run::env_noc_express();
     for workload in [
         WorkloadId::Genome,
         WorkloadId::Kmeans,
@@ -400,9 +394,7 @@ fn bench_system_throughput(h: &mut Harness) {
         let mut sim_cycles = 0u64;
         let us = h.bench(&name, 12, || {
             let config = SystemConfig::paper(Mechanism::Baseline);
-            let mut sys = puno_harness::System::new(config, &params, 1);
-            sys.set_noc_express(express);
-            let m = sys.run();
+            let m = puno_harness::System::new(config, &params, 1).run();
             sim_cycles = m.cycles;
             black_box(m.cycles ^ m.committed)
         });
@@ -423,7 +415,6 @@ fn bench_system_throughput(h: &mut Harness) {
 /// host wall-clock, so the pair exposes the executor's speedup on
 /// multi-core hosts and its coordination overhead on single-core ones.
 fn bench_mesh8_scaling(h: &mut Harness) {
-    let express = puno_harness::run::env_noc_express();
     let params = WorkloadId::Ssca2.params().scaled(0.05);
     for threads in [1usize, 4] {
         let name = format!("system/mesh8/ssca2/run{threads}");
@@ -431,37 +422,10 @@ fn bench_mesh8_scaling(h: &mut Harness) {
             let config = SystemConfig::mesh8(Mechanism::Baseline);
             let mut sys = puno_harness::System::new(config, &params, 1);
             sys.set_run_threads(threads);
-            sys.set_noc_express(express);
             let m = sys.try_run_recycled().expect("mesh8 cell must complete");
             black_box(m.cycles ^ m.committed)
         });
     }
-}
-
-/// The express path's home turf: large meshes running low-contention
-/// workloads, where hop counts are long, packets rarely meet, and the
-/// cycle-stepped router walk is almost pure overhead. `mesh8/genome` is the
-/// 64-node low-contention case; `mesh16/ssca2` stretches the same shape to
-/// 256 nodes, where analytic fast-forwarding skips the most router work per
-/// packet. Both honour `PUNO_NOC_EXPRESS` like the rest of the system tier.
-fn bench_mesh_express(h: &mut Harness) {
-    let express = puno_harness::run::env_noc_express();
-    let genome = WorkloadId::Genome.params().scaled(0.05);
-    h.bench("system/mesh8/genome/run1", 12, || {
-        let config = SystemConfig::mesh8(Mechanism::Baseline);
-        let mut sys = puno_harness::System::new(config, &genome, 1);
-        sys.set_noc_express(express);
-        let m = sys.try_run_recycled().expect("mesh8 cell must complete");
-        black_box(m.cycles ^ m.committed)
-    });
-    let ssca2 = WorkloadId::Ssca2.params().scaled(0.05);
-    h.bench("system/mesh16/ssca2/run1", 6, || {
-        let config = SystemConfig::mesh16(Mechanism::Baseline);
-        let mut sys = puno_harness::System::new(config, &ssca2, 1);
-        sys.set_noc_express(express);
-        let m = sys.try_run_recycled().expect("mesh16 cell must complete");
-        black_box(m.cycles ^ m.committed)
-    });
 }
 
 /// Wall-clock of the thread-parallel sweep driver's cold path: shared
@@ -572,7 +536,6 @@ fn main() {
     bench_hot_state(&mut h);
     bench_system_throughput(&mut h);
     bench_mesh8_scaling(&mut h);
-    bench_mesh_express(&mut h);
     bench_sweep(&mut h);
     bench_tracing(&mut h);
     // Must stay last: `bench_obs` enables the process-wide metrics

@@ -32,15 +32,15 @@ pub struct HostPerf {
     /// behaviour); low values mean the occupancy structure is skipping idle
     /// routers.
     pub noc_active_scan_ratio: f64,
-    /// Packets delivered over the NoC express path — admitted with a
-    /// provably contention-free analytic schedule and never cycle-stepped
-    /// (`PUNO_NOC_EXPRESS`; bit-identical to stepping, so this is purely a
-    /// host-throughput measure).
+    /// Always 0: the NoC express path that counted here is retired. Kept so
+    /// the serialized shape (golden snapshots, result-cache records) and
+    /// readers of the field stay valid.
     pub express_packets: u64,
-    /// Mesh hops those express packets covered without router stepping.
+    /// Always 0, like `express_packets`.
     pub express_hops: u64,
-    /// Simulated cycles the run loop's step token skipped while every
-    /// in-network packet was an express flight (event-driven quiescence).
+    /// Simulated cycles the run loop's NetStep token skipped because no
+    /// router, pending ejection, or NI queue could change state in them
+    /// (event-driven NoC stepping, DESIGN §13).
     pub quiesced_cycles: u64,
     /// Effective worker-thread count of the sweep that produced this run
     /// (see `sweep::effective_workers`); 0 for standalone runs outside a

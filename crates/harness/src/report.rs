@@ -223,13 +223,13 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
     let mut out = String::new();
     out.push_str("simulator throughput (host-side, per cell)\n");
     out.push_str(&format!(
-        "{:<12}{:<10}{:>10}{:>14}{:>14}{:>12}{:>10}\n",
-        "workload", "mech", "wall-s", "Mcycles/s", "Mevents/s", "peak-queue", "scan%"
+        "{:<12}{:<10}{:>10}{:>14}{:>14}{:>12}{:>10}{:>11}\n",
+        "workload", "mech", "wall-s", "Mcycles/s", "Mevents/s", "peak-queue", "scan%", "noc-skip%"
     ));
     for r in results {
         let h = &r.metrics.host;
         out.push_str(&format!(
-            "{:<12}{:<10}{:>10.3}{:>14.3}{:>14.3}{:>12}{:>10.1}\n",
+            "{:<12}{:<10}{:>10.3}{:>14.3}{:>14.3}{:>12}{:>10.1}{:>11.1}\n",
             r.workload.name(),
             r.mechanism.name(),
             h.wall_secs,
@@ -237,6 +237,7 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
             h.events_per_sec / 1e6,
             h.peak_queue_depth,
             h.noc_active_scan_ratio * 100.0,
+            h.quiesced_cycles as f64 * 100.0 / r.metrics.cycles.max(1) as f64,
         ));
     }
     let wall: f64 = results.iter().map(|r| r.metrics.host.wall_secs).sum();
@@ -249,9 +250,10 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
         .map(|r| r.metrics.host.sweep_workers)
         .max()
         .unwrap_or(0);
+    let skipped: u64 = results.iter().map(|r| r.metrics.host.quiesced_cycles).sum();
     out.push_str(&format!(
         "total: {wall:.3}s host wall-clock, {events} events dispatched, \
-         {workers} sweep worker(s)\n"
+         {skipped} idle NoC cycles skipped, {workers} sweep worker(s)\n"
     ));
     // The intra-run executor's scaling-efficiency line, printed only when
     // it actually engaged (run_workers > 1) so serial sweeps keep today's
@@ -299,17 +301,6 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
         out.push_str(&format!(
             "prefix-fork: {forks} forked cell(s), {shared} prefix cycles shared, \
              ~{saved:.3}s prefix re-simulation avoided\n"
-        ));
-    }
-    // Express-path accounting, printed only when some packet actually took
-    // it (express-off sweeps keep today's byte-identical output).
-    let express: u64 = results.iter().map(|r| r.metrics.host.express_packets).sum();
-    if express > 0 {
-        let hops: u64 = results.iter().map(|r| r.metrics.host.express_hops).sum();
-        let quiesced: u64 = results.iter().map(|r| r.metrics.host.quiesced_cycles).sum();
-        out.push_str(&format!(
-            "express: {express} packets fast-forwarded ({hops} router hops \
-             unstepped), {quiesced} quiesced cycles skipped\n"
         ));
     }
     out
@@ -470,6 +461,7 @@ mod tests {
             events_dispatched: 4_000_000,
             peak_queue_depth: 37,
             noc_active_scan_ratio: 0.125,
+            quiesced_cycles: 250,
             ..Default::default()
         }
         .finish(1000);
@@ -479,7 +471,11 @@ mod tests {
         assert!(text.contains("37"), "peak queue depth column: {text}");
         assert!(text.contains("12.5"), "scan ratio as percent: {text}");
         assert!(
-            text.contains("4000000 events dispatched"),
+            text.contains("25.0"),
+            "skipped NoC cycles as percent: {text}"
+        );
+        assert!(
+            text.contains("4000000 events dispatched, 250 idle NoC cycles skipped"),
             "total line: {text}"
         );
     }

@@ -35,18 +35,13 @@ const SNAPSHOT_RING_CAPACITY: usize = 4;
 /// rewind exists for (NACK storms cycle through a bounded message set).
 const REWIND_TRACE_CAPACITY: usize = 4096;
 
-/// Default for NoC express-path admission (see [`System::set_noc_express`]).
-/// On: express is bit-identical to stepping, so there is no accuracy trade —
-/// only the `PUNO_NOC_EXPRESS=0` escape hatch for A/B measurement.
-const DEFAULT_NOC_EXPRESS: bool = true;
-
 /// Simulation events.
 #[derive(Clone, Debug)]
 pub(crate) enum Event {
     /// Resume a node's core FSM (stale epochs are dropped).
     NodeWake { node: NodeId, epoch: u64 },
     /// Advance the network one cycle (re-armed while packets are in
-    /// flight).
+    /// flight, and re-timed past cycles the network would idle through).
     NetStep,
     /// A delayed directory send (L2 access / prediction latency elapsed).
     DirSend {
@@ -259,14 +254,9 @@ pub struct System {
     /// serial loop. Host-side execution strategy, deliberately not part of
     /// snapshots (a restore keeps the current setting).
     run_threads: usize,
-    /// NoC express-path admission (see [`System::set_noc_express`]). Like
-    /// `run_threads`, a host execution strategy: not part of `SystemConfig`
-    /// or snapshots; a restore keeps the current setting (re-applied to the
-    /// restored network, whose clone carries the source system's flag).
-    noc_express: bool,
-    /// Cycles the NetStep token skipped while every in-network packet was
-    /// an express flight (host-side accounting; see `advance_net_token`).
-    quiesced_cycles: u64,
+    /// Cycles the NetStep token skipped because the network could not
+    /// change state in them (host-side accounting; see `advance_net_token`).
+    skipped_net_cycles: u64,
     /// Parallel-executor accounting: waves handed to the pool, summed
     /// per-shard busy time, and summed wave wall-clock span (for the
     /// worker-idle fraction in [`crate::metrics::HostPerf`]).
@@ -368,8 +358,7 @@ impl System {
                 }
             })
             .collect();
-        let mut network = Network::new(config.mesh, config.noc);
-        network.set_express(DEFAULT_NOC_EXPRESS);
+        let network = Network::new(config.mesh, config.noc);
         Self {
             workload_name: params.name.clone(),
             seed,
@@ -401,8 +390,7 @@ impl System {
             peak_queue_depth: 0,
             host_wall_secs: 0.0,
             run_threads: 1,
-            noc_express: DEFAULT_NOC_EXPRESS,
-            quiesced_cycles: 0,
+            skipped_net_cycles: 0,
             par_waves: 0,
             par_busy_ns: 0,
             par_span_ns: 0,
@@ -515,9 +503,7 @@ impl System {
         self.peak_queue_depth = 0;
         self.host_wall_secs = 0.0;
         self.run_threads = 1;
-        self.noc_express = DEFAULT_NOC_EXPRESS;
-        self.network.set_express(self.noc_express);
-        self.quiesced_cycles = 0;
+        self.skipped_net_cycles = 0;
         self.par_waves = 0;
         self.par_busy_ns = 0;
         self.par_span_ns = 0;
@@ -556,8 +542,7 @@ impl System {
         self.peak_queue_depth = 0;
         self.host_wall_secs = 0.0;
         self.run_threads = 1;
-        self.noc_express = DEFAULT_NOC_EXPRESS;
-        self.quiesced_cycles = 0;
+        self.skipped_net_cycles = 0;
         self.par_waves = 0;
         self.par_busy_ns = 0;
         self.par_span_ns = 0;
@@ -582,23 +567,10 @@ impl System {
         self.run_threads
     }
 
-    /// Allow or forbid NoC express-path admission for subsequent runs.
-    /// On (the default) is bit-identical to off — admission requires the
-    /// stepped schedule to be fully determined, so the express path replays
-    /// it exactly (gated by the golden suite and `tests/noc_express.rs`);
-    /// only host throughput changes. The flag gates *admission* only:
-    /// flights already in the air still deliver (or collapse) identically,
-    /// so flipping it mid-run — including via snapshot/restore across
-    /// systems with different settings — is always safe.
-    pub fn set_noc_express(&mut self, enabled: bool) {
-        self.noc_express = enabled;
-        self.network.set_express(enabled);
-    }
-
-    /// Whether NoC express-path admission is enabled.
-    pub fn noc_express(&self) -> bool {
-        self.noc_express
-    }
+    /// No-op, kept for source compatibility: the NoC express path it
+    /// toggled is retired. Event-driven network stepping (DESIGN §13)
+    /// covers the idle stretches express used to fast-forward, always on.
+    pub fn set_noc_express(&mut self, _enabled: bool) {}
 
     /// Capture a copy-on-write checkpoint of the simulated state. The
     /// clone is deep (event queue, NoC buffers, L1 ways, directory banks,
@@ -663,9 +635,6 @@ impl System {
         self.watchdog_next = s.watchdog_next;
         self.watchdog_last = s.watchdog_last;
         self.progress_commits = s.progress_commits;
-        // The network clone carries the *source* system's express flag;
-        // this system's host-side setting is authoritative.
-        self.network.set_express(self.noc_express);
         if self.snapshot_every > 0 {
             self.next_snapshot_at = s.last_cycle.saturating_add(self.snapshot_every);
         }
@@ -696,10 +665,6 @@ impl System {
             "fork_from: target config differs from the snapshot beyond the mechanism axis"
         );
         self.restore(snap);
-        // The prefix's express deliveries belong to the shared prefix run,
-        // not to this cell's host accounting (in-air flights, by contrast,
-        // deliver during the cell and rightly count here).
-        self.network.reset_express_counters();
         if config.mechanism != self.config.mechanism {
             let nodes_n = self.nodes.len() as u16;
             // Same derivation as `new_shared`: mechanism-specific per-node
@@ -1075,9 +1040,6 @@ impl System {
                 self.pending_jitter[node.index()] += magnitude.max(1);
             }
             FaultKind::LinkStall => {
-                // A stall extends router busy horizons the analytic express
-                // schedules assumed free; collapse before it lands.
-                self.collapse_express_if_pending(now);
                 self.network.stall_links(now, node, magnitude.max(1));
                 self.fault.record_link_stall();
             }
@@ -2018,10 +1980,6 @@ impl System {
                 self.fault.message_delay()
             };
             if let Some(stall) = self.fault.link_stall() {
-                // Same horizon hazard as a scheduled LinkStall (see
-                // `on_fault`); rate-based stalls are not in the veto window,
-                // so in-air flights must collapse before the horizon moves.
-                self.collapse_express_if_pending(now);
                 self.network.stall_links(now, src, stall);
             }
             if let Some(delay) = delay {
@@ -2042,43 +2000,6 @@ impl System {
             vnet: vnet.index() as u8,
             flits,
         });
-        // Express attempt: the packet drains from the NI queue at the next
-        // NetStep — the armed token's cycle (`None` means it was popped into
-        // the current batch and dispatches later this cycle), or `now + 1`
-        // when the token gets armed below. The token is never parked past
-        // `now + 1` at an inject (quiescence only skips to cycles at which
-        // some event — hence any inject — fires), so `t_first` is exact.
-        let msg = if self.noc_express {
-            let t_first = if self.net_step_armed {
-                self.queue.token_cycle().unwrap_or(now)
-            } else {
-                now + 1
-            };
-            match self.network.try_inject_express(
-                now,
-                t_first,
-                self.link_stall_veto(now),
-                src,
-                dst,
-                vnet,
-                flits,
-                msg,
-            ) {
-                Ok(()) => {
-                    if !self.net_step_armed {
-                        self.net_step_armed = true;
-                        self.queue.schedule_token(now + 1, Event::NetStep);
-                    }
-                    return;
-                }
-                Err(msg) => msg,
-            }
-        } else {
-            msg
-        };
-        // Stepped fallback: a resident packet can interact with in-air
-        // express flights, so pull them back into the routers first.
-        self.collapse_express_if_pending(now);
         self.network.inject(now, src, dst, vnet, flits, msg);
         if !self.net_step_armed {
             self.net_step_armed = true;
@@ -2086,84 +2007,45 @@ impl System {
         }
     }
 
-    /// Earliest scheduled link-stall at or after `now`: an express flight
-    /// must complete strictly before it (stalls already fired are visible
-    /// in the routers' busy horizons, which admission checks per hop).
-    /// Stalls *at* `now` veto unconditionally — they may still be pending
-    /// later in the current batch.
-    fn link_stall_veto(&self, now: Cycle) -> Cycle {
-        if self.fault.is_empty() {
-            return Cycle::MAX;
-        }
-        self.fault
-            .scheduled_events()
-            .iter()
-            .filter(|ev| matches!(ev.kind, FaultKind::LinkStall) && ev.at >= now)
-            .map(|ev| ev.at)
-            .min()
-            .unwrap_or(Cycle::MAX)
-    }
-
-    /// Pull every express flight back into the stepped network before an
-    /// interaction the analytic schedule did not account for (a stepped
-    /// inject, or a link-stall horizon change). The collapse point is the
-    /// cycle *before* the next NetStep — everything through the last
-    /// completed network step is committed as traversal stats and
-    /// arbitration state, and the remainder rematerializes in place, so
-    /// stepping onward from here is exact.
-    fn collapse_express_if_pending(&mut self, now: Cycle) {
-        if !self.network.has_express_flights() {
-            return;
-        }
-        debug_assert!(
-            self.net_step_armed,
-            "express flights in the air require an armed step token"
-        );
-        let next_step = self.queue.token_cycle().unwrap_or(now);
-        self.network.collapse_express(next_step.saturating_sub(1));
-    }
-
-    /// Quiescence fast-forward, run between cycle batches: with the step
-    /// token armed and every in-network packet on the express path,
-    /// stepping the cycles up to the earliest express delivery (or the next
-    /// scheduled event) is a no-op — retime the token there directly. The
-    /// target is capped at the watchdog's next sampling cycle and the
-    /// max-cycles ceiling so the livelock guards fire at exactly the cycles
-    /// the cycle-stepped loop would sample (a cap boundary costs one extra
-    /// token pop, nothing more).
+    /// Idle-step skipping, run between cycle batches: with the step token
+    /// armed at `now + 1`, every network step before
+    /// [`Network::next_wake`] is an exact no-op, so retime the token to the
+    /// earliest of that wake, the next other scheduled event, the
+    /// watchdog's next sampling cycle, the max-cycles ceiling, and the next
+    /// ring-snapshot capture. The last three caps make the guards and the
+    /// snapshot ring fire at exactly the cycles the every-cycle loop would
+    /// visit. Because the target never passes another event, no batch runs
+    /// inside a skipped stretch, and the token lands at the target with a
+    /// seq above every event already queued there — the position the
+    /// every-cycle loop's re-armed token would hold (DESIGN §13).
     fn advance_net_token(&mut self) {
-        if self.nodes_done >= self.nodes.len() {
-            // The run is decided; skipping now would advance the token past
-            // the last dispatched batch and over-commit in-air flights'
-            // synthesized traversal stats at finalize.
-            return;
-        }
-        if !self.net_step_armed || !self.network.stepped_side_empty() {
+        if self.nodes_done >= self.nodes.len() || !self.net_step_armed {
             return;
         }
         let Some(tc) = self.queue.token_cycle() else {
             return; // token dropped with the run already decided
         };
-        let target = self
+        debug_assert_eq!(
+            tc,
+            self.last_cycle + 1,
+            "a busy batch ran without the token"
+        );
+        let mut target = self
             .network
-            .next_express_due()
-            .unwrap_or(Cycle::MAX)
+            .next_wake()
             .min(self.queue.peek_cycle_ignoring_token().unwrap_or(Cycle::MAX))
             .min(self.watchdog_next)
             .min(self.config.max_cycles);
+        if self.snapshot_every > 0 {
+            target = target.min(self.next_snapshot_at);
+        }
         if target > tc {
-            self.quiesced_cycles += target - tc;
+            self.skipped_net_cycles += target - tc;
             self.queue.retime_token(target);
         }
     }
 
     fn finalize(&mut self) -> RunMetrics {
-        // Packets still in the air when the last node retires: the stepped
-        // path has already recorded their traversals up to the last
-        // dispatched network step, so in-air express flights must commit
-        // the same prefix of their analytic schedules before the traffic
-        // stats are read.
-        self.collapse_express_if_pending(self.last_cycle);
         let mut htm = HtmStats::default();
         for n in &self.nodes {
             htm.merge(n.htm.stats());
@@ -2195,9 +2077,7 @@ impl System {
                 events_dispatched: self.events_dispatched,
                 peak_queue_depth: self.peak_queue_depth as u64,
                 noc_active_scan_ratio: self.network.active_scan_ratio(),
-                express_packets: self.network.express_counters().0,
-                express_hops: self.network.express_counters().1,
-                quiesced_cycles: self.quiesced_cycles,
+                quiesced_cycles: self.skipped_net_cycles,
                 run_workers: self.run_threads as u64,
                 par_waves: self.par_waves,
                 worker_idle_frac: if self.par_span_ns > 0 {

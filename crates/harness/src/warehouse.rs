@@ -67,6 +67,8 @@ pub struct WarehouseRow {
     pub sim_cycles_per_sec: f64,
     pub events_per_sec: f64,
     pub prefix_forks: u64,
+    /// Always 0, like `HostPerf::express_packets`; kept so schema-v1 rows
+    /// stay readable.
     pub express_packets: u64,
     /// Aborts by cause (zero-count causes omitted), the blame summary the
     /// paper's false-abort analysis compares on.

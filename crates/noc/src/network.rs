@@ -34,118 +34,16 @@ struct PendingDelivery<P> {
     packet: Packet<P>,
 }
 
-/// A packet on the express path: admitted with a provably contention-free
-/// route, its whole traversal reduced to an analytic schedule. The flight
-/// carries enough to re-derive every per-hop cycle (see [`HopWalk`]), so it
-/// can synthesize the stepped path's stats at delivery or be collapsed back
-/// into buffered form mid-flight.
-#[derive(Clone)]
-struct ExpressFlight<P> {
-    packet: Packet<P>,
-    /// Cycle of the first network step at/after injection — when the packet
-    /// would leave the NI queue for the source router's local buffer.
-    t_first: Cycle,
-    /// Analytic delivery cycle (tail flit crosses into the destination NI).
-    due: Cycle,
-    /// Manhattan hop count (router traversals minus the final ejection).
-    hops: u16,
-}
-
-/// One router visit of an express flight's analytic schedule.
-#[derive(Clone, Copy)]
-struct Hop {
-    node: NodeId,
-    /// Input port the packet occupies at this router (`Local` at the source).
-    in_port: Port,
-    /// Output port the packet wins at this router (`Local` at the sink).
-    out_port: Port,
-    /// Switch-allocation cycle: when the stepped path would traverse here.
-    alloc_at: Cycle,
-    /// Closed reservation interval `[from, until]` during which the packet
-    /// is anywhere in this router (buffered, allocating, or on the out
-    /// link). Two flights whose intervals are disjoint at every shared
-    /// router provably never contend.
-    from: Cycle,
-    until: Cycle,
-}
-
-/// Iterator over a flight's hops in route order, yielding the zero-load
-/// schedule `R_j = t_first + (p-1) + j*(flits + p - 1)` the stepped path
-/// produces on an otherwise empty network: the head flit waits out the
-/// pipeline (`p-1` cycles) then each traversal costs `flits` link cycles
-/// plus the next router's pipeline.
-struct HopWalk {
-    mesh: Mesh,
-    dst: NodeId,
-    here: Option<NodeId>,
-    in_port: Port,
-    alloc_at: Cycle,
-    from: Cycle,
-    step: Cycle,
-    flits: Cycle,
-}
-
-impl HopWalk {
-    fn new(
-        mesh: Mesh,
-        src: NodeId,
-        dst: NodeId,
-        injected_at: Cycle,
-        t_first: Cycle,
-        pipeline_depth: Cycle,
-        flits: Cycle,
-    ) -> Self {
-        Self {
-            mesh,
-            dst,
-            here: Some(src),
-            in_port: Port::Local,
-            alloc_at: t_first + pipeline_depth - 1,
-            from: injected_at,
-            step: flits + pipeline_depth - 1,
-            flits,
-        }
-    }
-}
-
-impl Iterator for HopWalk {
-    type Item = Hop;
-
-    fn next(&mut self) -> Option<Hop> {
-        let here = self.here?;
-        let out_port = self.mesh.route_xy(here, self.dst);
-        let hop = Hop {
-            node: here,
-            in_port: self.in_port,
-            out_port,
-            alloc_at: self.alloc_at,
-            from: self.from,
-            until: self.alloc_at + self.flits,
-        };
-        if out_port == Port::Local {
-            self.here = None;
-        } else {
-            self.here = Some(
-                self.mesh
-                    .neighbor(here, out_port)
-                    .expect("XY routed off-mesh"),
-            );
-            self.in_port = opposite(out_port);
-            // The packet occupies the next router from the moment its head
-            // flit leaves this one's crossbar.
-            self.from = self.alloc_at;
-            self.alloc_at += self.step;
-        }
-        Some(hop)
-    }
-}
-
 /// The on-chip network. Payload type `P` is opaque freight.
 #[derive(Clone)]
 pub struct Network<P> {
     mesh: Mesh,
     config: NocConfig,
     routers: Vec<Router<P>>,
+    /// `neighbors[r][port]`: the router behind each output port of router
+    /// `r` (unused for `Local` and for ports off the mesh edge, which XY
+    /// routing never picks).
+    neighbors: Vec<[u16; 5]>,
     /// Per-node, per-vnet unbounded injection queues (the NI). Packets wait
     /// here until the local input buffer has space — injection backpressure
     /// without loss.
@@ -168,22 +66,13 @@ pub struct Network<P> {
     active: Vec<u64>,
     /// Reused snapshot of `active` for the per-cycle walks.
     scratch_active: Vec<u64>,
+    /// Lower bound on the next cycle at which a step can change any state;
+    /// see [`Network::next_wake`].
+    wake_hint: Cycle,
     /// Host-side observability: routers actually visited by arbitration vs
     /// the `routers * steps` a full scan would have touched.
     scan_visits: u64,
     scan_steps: u64,
-    /// Whether new injections may take the express path. Gates *admission*
-    /// only: in-flight expressed packets (e.g. restored from a snapshot)
-    /// always deliver.
-    express_enabled: bool,
-    /// Packets on the express path, unordered.
-    flights: Vec<ExpressFlight<P>>,
-    /// Reused buffer for the candidate hop schedule during admission.
-    scratch_hops: Vec<Hop>,
-    /// Host-side observability: packets delivered via the express path and
-    /// the mesh hops their stepped traversals would have cost.
-    express_packets: u64,
-    express_hops: u64,
 }
 
 impl<P> Network<P> {
@@ -194,10 +83,19 @@ impl<P> Network<P> {
             "buffers must fit a data packet"
         );
         let n = mesh.nodes();
+        let neighbors = (0..n)
+            .map(|r| {
+                Port::ALL.map(|port| {
+                    mesh.neighbor(NodeId(r as u16), port)
+                        .map_or(u16::MAX, |node| node.0)
+                })
+            })
+            .collect();
         Self {
             mesh,
             config,
             routers: (0..n).map(|_| Router::new()).collect(),
+            neighbors,
             inject_queues: (0..n)
                 .map(|_| {
                     (0..VirtualNetwork::COUNT)
@@ -214,13 +112,9 @@ impl<P> Network<P> {
             resident: vec![0; n],
             active: vec![0; n.div_ceil(64)],
             scratch_active: Vec::with_capacity(n.div_ceil(64)),
+            wake_hint: Cycle::MAX,
             scan_visits: 0,
             scan_steps: 0,
-            express_enabled: false,
-            flights: Vec::new(),
-            scratch_hops: Vec::new(),
-            express_packets: 0,
-            express_hops: 0,
         }
     }
 
@@ -247,13 +141,9 @@ impl<P> Network<P> {
         self.resident.fill(0);
         self.active.fill(0);
         self.scratch_active.clear();
+        self.wake_hint = Cycle::MAX;
         self.scan_visits = 0;
         self.scan_steps = 0;
-        self.express_enabled = false;
-        self.flights.clear();
-        self.scratch_hops.clear();
-        self.express_packets = 0;
-        self.express_hops = 0;
     }
 
     /// Re-evaluate router `r`'s membership in the active set after an
@@ -323,6 +213,23 @@ impl<P> Network<P> {
         self.in_network == 0
     }
 
+    /// Earliest cycle after the last step at which [`Network::step_into`]
+    /// can change any state: the minimum of every occupied router's
+    /// `wake_at`, every pending ejection's due cycle, and `now + 1` while
+    /// an NI queue may drain (after an injection at `now`, or after a
+    /// local-port win freed buffer space behind an NI backlog), clamped to
+    /// at least one past the last step. `Cycle::MAX` when idle.
+    ///
+    /// Valid between steps. Stepping any cycle before it is an exact no-op
+    /// — no drain, no traversal, no delivery, no arbitration state touched
+    /// — so a caller may skip straight to it (DESIGN §13). The bound may be
+    /// early (a wake on a credit-blocked head, a link horizon later
+    /// extended by [`Network::stall_links`]), never late.
+    #[inline]
+    pub fn next_wake(&self) -> Cycle {
+        self.wake_hint
+    }
+
     /// Packets currently buffered inside routers (diagnostics).
     pub fn resident_packets(&self) -> usize {
         self.routers.iter().map(|r| r.resident_packets()).sum()
@@ -336,7 +243,8 @@ impl<P> Network<P> {
     /// Fault-injection hook: hold every output link of `node`'s router busy
     /// until at least `now + cycles`. Flits already in flight are unaffected
     /// (their busy horizon only ever extends); queued flits wait out the
-    /// stall under normal credit backpressure, so nothing is lost.
+    /// stall under normal credit backpressure, so nothing is lost. Extending
+    /// a horizon can only make `wake_at` early, so it is left as is.
     pub fn stall_links(&mut self, now: Cycle, node: NodeId, cycles: Cycles) {
         let until = now + cycles;
         let router = &mut self.routers[node.index()];
@@ -372,275 +280,9 @@ impl<P> Network<P> {
         self.inject_queues[src.index()][vnet.index()].push_back(packet);
         self.inject_pending[src.index()] += 1;
         self.mark_active(src.index());
-    }
-
-    /// Allow or forbid express-path admission. Off by default; a host
-    /// execution-strategy knob (like the run-loop thread count), so it is
-    /// deliberately *not* part of [`NocConfig`]. Disabling it never strands
-    /// packets: flights already admitted still deliver.
-    pub fn set_express(&mut self, enabled: bool) {
-        self.express_enabled = enabled;
-    }
-
-    pub fn express_enabled(&self) -> bool {
-        self.express_enabled
-    }
-
-    /// True when any packet is currently on the express path.
-    #[inline]
-    pub fn has_express_flights(&self) -> bool {
-        !self.flights.is_empty()
-    }
-
-    /// Packets currently on the express path (diagnostics/tests).
-    pub fn express_flight_count(&self) -> usize {
-        self.flights.len()
-    }
-
-    /// True when every in-network packet is an express flight — NI queues,
-    /// router buffers, and pending deliveries are all empty, so stepping
-    /// the network between now and the next flight's due cycle is a no-op.
-    #[inline]
-    pub fn stepped_side_empty(&self) -> bool {
-        self.in_network == self.flights.len()
-    }
-
-    /// Earliest analytic delivery cycle among express flights, if any — the
-    /// quiescence fast-forward target for the run loop's step token.
-    pub fn next_express_due(&self) -> Option<Cycle> {
-        self.flights.iter().map(|f| f.due).min()
-    }
-
-    /// Host-side counters: `(packets delivered express, mesh hops bypassed)`.
-    pub fn express_counters(&self) -> (u64, u64) {
-        (self.express_packets, self.express_hops)
-    }
-
-    /// Zero the host-side express counters (e.g. when a fork re-bases this
-    /// network on a shared prefix snapshot whose deliveries are accounted
-    /// elsewhere). Never touches simulated state.
-    pub fn reset_express_counters(&mut self) {
-        self.express_packets = 0;
-        self.express_hops = 0;
-    }
-
-    /// Try to admit a packet onto the express path at cycle `now`.
-    ///
-    /// `t_first` is the cycle of the first network step at/after `now` (the
-    /// caller's step-token position — when the packet would drain from the
-    /// NI queue). `veto_before` is a cycle by which the flight must complete:
-    /// callers pass the earliest future scheduled link-stall fault so a
-    /// flight never has to be collapsed *by plan* (a collapse would still be
-    /// exact — rate-based stalls take that path — just wasted work).
-    ///
-    /// Admission requires (a) a stepped-side-empty network, (b) every link
-    /// on the route free by its analytic traversal cycle, and (c) the
-    /// flight's per-router reservation intervals disjoint from every other
-    /// flight's. Under those conditions the stepped path is fully
-    /// determined: the packet drains at `t_first`, wins every switch
-    /// allocation uncontested at `R_j`, and delivers at `due` — so the
-    /// flight replays it exactly. On `Err` the payload is handed back and
-    /// the caller must inject normally (collapsing flights first if any
-    /// exist).
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_inject_express(
-        &mut self,
-        now: Cycle,
-        t_first: Cycle,
-        veto_before: Cycle,
-        src: NodeId,
-        dst: NodeId,
-        vnet: VirtualNetwork,
-        flits: u32,
-        payload: P,
-    ) -> Result<(), P> {
-        debug_assert!(t_first >= now);
-        if !self.express_enabled || self.in_network != self.flights.len() {
-            return Err(payload);
-        }
-        let p = self.config.pipeline_depth as Cycle;
-        let walk = HopWalk::new(self.mesh, src, dst, now, t_first, p, flits as Cycle);
-        let mut hops = std::mem::take(&mut self.scratch_hops);
-        hops.clear();
-        let mut ok = true;
-        for hop in walk {
-            // The link must be free at the traversal cycle, or the analytic
-            // schedule is wrong (e.g. a stall horizon from a fired fault).
-            if self.routers[hop.node.index()].link_busy_until[hop.out_port.index()] > hop.alloc_at {
-                ok = false;
-                break;
-            }
-            hops.push(hop);
-        }
-        let due = hops.last().map_or(0, |h| h.until);
-        if ok && due >= veto_before {
-            ok = false;
-        }
-        if ok {
-            'conflict: for f in &self.flights {
-                for fh in self.flight_walk(f) {
-                    if hops
-                        .iter()
-                        .any(|nh| nh.node == fh.node && fh.from <= nh.until && nh.from <= fh.until)
-                    {
-                        ok = false;
-                        break 'conflict;
-                    }
-                }
-            }
-        }
-        let mesh_hops = hops.len().saturating_sub(1) as u16;
-        self.scratch_hops = hops;
-        if !ok {
-            return Err(payload);
-        }
-        let packet = Packet {
-            id: self.next_packet_id,
-            src,
-            dst,
-            vnet,
-            flits,
-            injected_at: now,
-            payload,
-        };
-        self.next_packet_id += 1;
-        self.stats.record_injection(vnet, flits);
-        self.in_network += 1;
-        self.flights.push(ExpressFlight {
-            packet,
-            t_first,
-            due,
-            hops: mesh_hops,
-        });
-        Ok(())
-    }
-
-    /// The analytic hop schedule of `f`, re-derived from its route.
-    fn flight_walk(&self, f: &ExpressFlight<P>) -> HopWalk {
-        HopWalk::new(
-            self.mesh,
-            f.packet.src,
-            f.packet.dst,
-            f.packet.injected_at,
-            f.t_first,
-            self.config.pipeline_depth as Cycle,
-            f.packet.flits as Cycle,
-        )
-    }
-
-    /// Synthesize the stepped path's footprint of one traversal: the
-    /// Figure 11 counters plus the router-side arbitration state (link busy
-    /// horizon and round-robin pointer). Flights may cross a shared router
-    /// at disjoint times in either completion order, so the arbitration
-    /// state applies last-traversal-wins: the busy horizon doubles as the
-    /// traversal timestamp (stepped traversals through one port are
-    /// serialized, so horizons are strictly ordered in time).
-    fn commit_express_traversal(&mut self, hop: &Hop, vnet: VirtualNetwork, flits: u32) {
-        self.stats.record_traversal(vnet, flits);
-        self.link_stats.record(hop.node, hop.out_port, flits);
-        let router = &mut self.routers[hop.node.index()];
-        let o = hop.out_port.index();
-        if hop.until >= router.link_busy_until[o] {
-            router.link_busy_until[o] = hop.until;
-            let idx = hop.in_port.index() * VirtualNetwork::COUNT + vnet.index();
-            router.rr_pointer[o] = (idx + 1) % (5 * VirtualNetwork::COUNT);
-        }
-    }
-
-    /// Deliver every express flight whose analytic due cycle has arrived,
-    /// synthesizing the full stepped footprint (all traversals, link stats,
-    /// latency sample) at once.
-    fn pop_express_due(&mut self, now: Cycle, out: &mut Vec<(NodeId, P)>) {
-        let mut i = 0;
-        while i < self.flights.len() {
-            if self.flights[i].due > now {
-                i += 1;
-                continue;
-            }
-            let f = self.flights.swap_remove(i);
-            debug_assert_eq!(f.due, now, "express delivery overshot its due cycle");
-            let vnet = f.packet.vnet;
-            let flits = f.packet.flits;
-            let walk = self.flight_walk(&f);
-            for hop in walk {
-                self.commit_express_traversal(&hop, vnet, flits);
-            }
-            self.stats.record_delivery(now - f.packet.injected_at);
-            self.in_network -= 1;
-            self.express_packets += 1;
-            self.express_hops += f.hops as u64;
-            out.push((f.packet.dst, f.packet.payload));
-        }
-    }
-
-    /// Collapse every express flight back into stepped form, reconstructing
-    /// the exact network state the stepped path would hold after completing
-    /// step `t` (the last virtually stepped cycle: the caller's step token
-    /// minus one). Called before anything that could interact with a flight
-    /// — a stepped injection or a link stall — so divergence is impossible:
-    /// traversals with `R_j <= t` are committed (stats + arbitration
-    /// state), and the packet rematerializes where the stepped path would
-    /// hold it (NI queue before `t_first`, the router buffer whose
-    /// reservation covers `t`, or the pending-ejection list).
-    pub fn collapse_express(&mut self, t: Cycle) {
-        if self.flights.is_empty() {
-            return;
-        }
-        let mut flights = std::mem::take(&mut self.flights);
-        for f in flights.drain(..) {
-            self.rematerialize_flight(f, t);
-        }
-        self.flights = flights; // keep the allocation
-    }
-
-    fn rematerialize_flight(&mut self, f: ExpressFlight<P>, t: Cycle) {
-        // The step token never parks past a flight's due cycle, so a
-        // collapse (token minus one) always lands strictly before delivery.
-        debug_assert!(t < f.due, "collapse at {t} after flight due {}", f.due);
-        let vnet = f.packet.vnet;
-        let flits = f.packet.flits;
-        if t < f.t_first {
-            // Not yet drained: back to the source NI queue. At most one
-            // flight can be pre-drain (its source-router reservation starts
-            // at injection, so a second same-source flight would overlap),
-            // so queue order is preserved trivially.
-            let src = f.packet.src.index();
-            self.inject_queues[src][vnet.index()].push_back(f.packet);
-            self.inject_pending[src] += 1;
-            self.mark_active(src);
-            return;
-        }
-        let walk = self.flight_walk(&f);
-        let due = f.due;
-        let mut packet = Some(f.packet);
-        for hop in walk {
-            if hop.alloc_at <= t {
-                // This traversal already happened on the virtual timeline.
-                self.commit_express_traversal(&hop, vnet, flits);
-                if hop.out_port == Port::Local {
-                    self.deliveries.push(PendingDelivery {
-                        due,
-                        node: hop.node,
-                        packet: packet.take().expect("flight delivered twice"),
-                    });
-                    return;
-                }
-            } else {
-                // The packet sits buffered in this router, eligible for
-                // switch allocation at exactly its analytic cycle.
-                let node = hop.node.index();
-                self.routers[node].accept(
-                    hop.in_port,
-                    vnet,
-                    hop.alloc_at,
-                    packet.take().expect("flight buffered twice"),
-                );
-                self.resident[node] += 1;
-                self.mark_active(node);
-                return;
-            }
-        }
-        unreachable!("flight walk ended without placing the packet");
+        // A step at `now` (if still to come) drains it and recomputes the
+        // hint; otherwise the step at `now + 1` must not be skipped.
+        self.wake_hint = self.wake_hint.min(now + 1);
     }
 
     /// Advance the network one cycle. Returns packets delivered to their
@@ -657,199 +299,202 @@ impl<P> Network<P> {
     /// Advance the network one cycle, appending this cycle's deliveries to
     /// `out` (cleared first) in deterministic order.
     ///
-    /// Work is proportional to *occupancy*, not machine size: injection
-    /// drain and switch arbitration walk only the routers in the active set
-    /// (buffered or injection-pending packets), in ascending router-index
-    /// order. That order makes the walk bit-identical to the full `0..n`
-    /// scan it replaces: a router outside the set has no head-of-line
-    /// packet, so the full scan would touch neither its round-robin
+    /// Work is proportional to *eligible* work, not machine size: injection
+    /// drain walks only the routers in the active set (buffered or
+    /// injection-pending packets), and switch allocation only those whose
+    /// `wake_at` has arrived, both in ascending router-index order. That
+    /// order makes the walk bit-identical to the full `0..n` scan it
+    /// replaces: a skipped router has no head-of-line packet that could win
+    /// this cycle, so the full scan would touch neither its round-robin
     /// pointers nor its links — skipping it changes no state and no
     /// arbitration outcome.
     pub fn step_into(&mut self, now: Cycle, out: &mut Vec<(NodeId, P)>) {
         out.clear();
-        // Express flights and stepped packets are mutually exclusive by the
-        // admission invariant (a flight is only admitted into an otherwise
-        // empty network, and any stepped injection collapses all flights
-        // first), but compute both gates up front so even a hand-constructed
-        // mixed state steps correctly.
-        let stepped_busy = self.in_network > self.flights.len();
-        if !self.flights.is_empty() {
-            self.pop_express_due(now, out);
+        self.wake_hint = Cycle::MAX;
+        if self.in_network == 0 {
+            return;
         }
-        if stepped_busy {
-            self.scan_steps += 1;
-            self.drain_injection_queues(now);
-            self.arbitrate(now);
-            self.collect_deliveries_into(now, out);
+        self.scan_steps += 1;
+        // One ascending walk over a snapshot of the active set drains each
+        // router's NI queues and then runs its switch allocation. Draining
+        // router `r` just before its own allocation, instead of draining
+        // every router first, changes nothing: a drain touches only `r`'s
+        // local input FIFOs, which no other router's allocation reads
+        // (credit checks read a neighbour's mesh-side inputs). Routers that
+        // only *become* active mid-walk (receiving a forwarded packet) need
+        // no visit: the packet's ready_at is in the future, so the full scan
+        // would have found no eligible candidate there either.
+        let snapshot = self.take_active_snapshot();
+        for (word_idx, &word) in snapshot.iter().enumerate() {
+            let mut bits = word; // ascending router index: low bits first
+            while bits != 0 {
+                let r = word_idx * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.inject_pending[r] > 0 {
+                    self.drain_injection_queues(r, now);
+                }
+                if self.resident[r] == 0 {
+                    continue; // injection-queue backlog only
+                }
+                if self.routers[r].wake_at <= now {
+                    self.scan_visits += 1;
+                    self.visit(r, now);
+                    self.note_occupancy(r);
+                }
+                if self.resident[r] > 0 {
+                    self.wake_hint = self.wake_hint.min(self.routers[r].wake_at);
+                }
+            }
         }
+        self.put_active_snapshot(snapshot);
+        self.collect_deliveries_into(now, out);
+        // A credit-blocked head keeps its router's wake at or before `now`:
+        // the next step is then simply the next cycle.
+        self.wake_hint = self.wake_hint.max(now + 1);
         // swap_remove disturbs order; restore determinism by destination
         // (at most one ejection can complete per node per cycle — the local
         // link serializes them — so the node index is a total key).
         out.sort_by_key(|(node, _)| node.0);
     }
 
-    /// Move packets from NI injection queues into local input buffers when
-    /// space permits.
-    fn drain_injection_queues(&mut self, now: Cycle) {
-        let ready_delay = self.config.pipeline_depth as Cycle - 1;
-        let snapshot = self.take_active_snapshot();
-        for (word_idx, &word) in snapshot.iter().enumerate() {
-            let mut bits = word; // ascending router index: low bits first
-            while bits != 0 {
-                let node = word_idx * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.inject_pending[node] == 0 {
-                    continue;
+    /// Move packets from router `r`'s NI injection queues into its local
+    /// input buffers while space permits. Each packet is routed once, here,
+    /// for this router.
+    fn drain_injection_queues(&mut self, r: usize, now: Cycle) {
+        let ready_at = now + self.config.pipeline_depth as Cycle - 1;
+        let here = NodeId(r as u16);
+        for vnet_idx in 0..VirtualNetwork::COUNT {
+            while let Some(front) = self.inject_queues[r][vnet_idx].front() {
+                let buf = self.routers[r].buffer(Port::Local, front.vnet);
+                if buf.free_flits(self.config.buffer_flits) < front.flits {
+                    break;
                 }
-                for vnet_idx in 0..VirtualNetwork::COUNT {
-                    while let Some(front) = self.inject_queues[node][vnet_idx].front() {
-                        let flits = front.flits;
-                        let vnet = front.vnet;
-                        let buf = self.routers[node].buffer(Port::Local, vnet);
-                        if buf.free_flits(self.config.buffer_flits) < flits {
-                            break;
-                        }
-                        let packet = self.inject_queues[node][vnet_idx].pop_front().unwrap();
-                        self.routers[node].accept(Port::Local, vnet, now + ready_delay, packet);
-                        self.inject_pending[node] -= 1;
-                        self.resident[node] += 1;
-                    }
-                }
+                let packet = self.inject_queues[r][vnet_idx].pop_front().unwrap();
+                let out = self.mesh.route_xy(here, packet.dst);
+                self.routers[r].accept(Port::Local, packet.vnet, ready_at, out, packet);
+                self.inject_pending[r] -= 1;
+                self.resident[r] += 1;
             }
         }
-        self.put_active_snapshot(snapshot);
     }
 
-    /// Switch allocation: for every *active* router and output port whose
-    /// link is free, pick one eligible head-of-line packet (round-robin
-    /// over the (input port, vnet) space) and traverse.
-    fn arbitrate(&mut self, now: Cycle) {
-        let n_candidates = 5 * VirtualNetwork::COUNT;
-        // Snapshot after injection drain so same-cycle injections are seen,
-        // exactly as the full scan saw them. Routers that only *become*
-        // active mid-arbitration (receiving a forwarded packet) need no
-        // visit: the packet's ready_at is in the future, so the full scan
-        // would have found no eligible candidate there either.
-        let snapshot = self.take_active_snapshot();
-        for (word_idx, &word) in snapshot.iter().enumerate() {
-            let mut active_bits = word; // ascending router index
-            'routers: while active_bits != 0 {
-                let r = word_idx * 64 + active_bits.trailing_zeros() as usize;
-                active_bits &= active_bits - 1;
-                if self.resident[r] == 0 {
-                    continue 'routers; // injection-queue backlog only
+    /// One router's switch allocation: for every output port whose link is
+    /// free, pick one eligible head-of-line packet (round-robin over the
+    /// (input port, vnet) space) and traverse.
+    ///
+    /// Each port's candidates come from an eligibility mask built once per
+    /// visit (heads past the pipeline, keyed by their cached route). A win
+    /// exposes the FIFO's next packet, which joins its own port's mask at
+    /// once — a later port may still take it this cycle, exactly as the
+    /// per-port rescan of every head did.
+    fn visit(&mut self, r: usize, now: Cycle) {
+        const CANDIDATES: usize = 5 * VirtualNetwork::COUNT;
+        let mut eligible = [0u16; 5];
+        {
+            let router = &self.routers[r];
+            let mut occ = router.occupancy;
+            while occ != 0 {
+                let idx = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let head = router.head(idx);
+                if head.ready_at <= now {
+                    eligible[head.out.index()] |= 1 << idx;
                 }
-                self.scan_visits += 1;
-                let here = NodeId(r as u16);
-                for out_port in Port::ALL {
-                    if self.routers[r].link_busy_until[out_port.index()] > now {
-                        continue;
-                    }
-                    let start = self.routers[r].rr_pointer[out_port.index()];
-                    // Round-robin order start..n then 0..start, restricted
-                    // to non-empty buffers via the occupancy mask: an empty
-                    // buffer is exactly a skipped candidate in the full
-                    // scan, so the restriction is order-preserving.
-                    let occ = u32::from(self.routers[r].occupancy);
-                    let low = occ & ((1u32 << start) - 1);
-                    let high = occ & !((1u32 << start) - 1);
-                    let mut winner: Option<(usize, usize)> = None;
-                    'scan: for part in [high, low] {
-                        let mut cand_bits = part;
-                        while cand_bits != 0 {
-                            let idx = cand_bits.trailing_zeros() as usize;
-                            cand_bits &= cand_bits - 1;
-                            let in_port = idx / VirtualNetwork::COUNT;
-                            let vnet_idx = idx % VirtualNetwork::COUNT;
-                            let buf = &self.routers[r].inputs[in_port][vnet_idx];
-                            let Some(head) = buf.queue.front() else {
-                                continue;
-                            };
-                            if head.ready_at > now {
-                                continue;
-                            }
-                            if self.mesh.route_xy(here, head.packet.dst) != out_port {
-                                continue;
-                            }
-                            // Check downstream space (credit): ejection
-                            // always has room (NI sinks immediately).
-                            if out_port != Port::Local {
-                                let next = self
-                                    .mesh
-                                    .neighbor(here, out_port)
-                                    .expect("XY routed off-mesh");
-                                let flits = head.packet.flits;
-                                let free = self.routers[next.index()].inputs
-                                    [opposite(out_port).index()][vnet_idx]
-                                    .free_flits(self.config.buffer_flits);
-                                if free < flits {
-                                    continue;
-                                }
-                            }
-                            winner = Some((in_port, vnet_idx));
-                            self.routers[r].rr_pointer[out_port.index()] = (idx + 1) % n_candidates;
-                            break 'scan;
-                        }
-                    }
-                    let Some((in_port, vnet_idx)) = winner else {
-                        continue;
-                    };
-                    // Dequeue the winner and traverse.
-                    let buffered = {
-                        let router = &mut self.routers[r];
-                        let buf = &mut router.inputs[in_port][vnet_idx];
-                        let bp = buf.queue.pop_front().unwrap();
-                        buf.occupied_flits -= bp.packet.flits;
-                        if buf.queue.is_empty() {
-                            router.occupancy &=
-                                !(1u16 << (in_port * VirtualNetwork::COUNT + vnet_idx));
-                        }
-                        bp
-                    };
-                    let packet = buffered.packet;
-                    let flits = packet.flits;
-                    // The Figure 11 metric: every flit leaving a router
-                    // crossbar is one router traversal.
-                    self.stats.record_traversal(packet.vnet, flits);
-                    self.link_stats.record(here, out_port, flits);
-                    self.routers[r].link_busy_until[out_port.index()] = now + flits as Cycle;
-                    self.resident[r] -= 1;
-                    if out_port == Port::Local {
-                        self.deliveries.push(PendingDelivery {
-                            due: now + flits as Cycle,
-                            node: here,
-                            packet,
-                        });
-                    } else {
-                        let next = self.mesh.neighbor(here, out_port).unwrap();
-                        let ready_at =
-                            now + flits as Cycle + self.config.pipeline_depth as Cycle - 1;
-                        let vnet = packet.vnet;
-                        self.routers[next.index()].accept(
-                            opposite(out_port),
-                            vnet,
-                            ready_at,
-                            packet,
-                        );
-                        self.resident[next.index()] += 1;
-                        self.mark_active(next.index());
-                    }
-                }
-                self.note_occupancy(r);
             }
         }
-        self.put_active_snapshot(snapshot);
+        let here = NodeId(r as u16);
+        for out_port in Port::ALL {
+            let o = out_port.index();
+            if eligible[o] == 0 || self.routers[r].link_busy_until[o] > now {
+                continue;
+            }
+            let next = self.neighbors[r][o] as usize;
+            // Round-robin order start..n then 0..start; an ineligible
+            // candidate is exactly a skipped one in the full scan, so the
+            // restriction is order-preserving.
+            let below = (1u16 << self.routers[r].rr_pointer[o]) - 1;
+            let mut winner = None;
+            'scan: for part in [eligible[o] & !below, eligible[o] & below] {
+                let mut cand_bits = part;
+                while cand_bits != 0 {
+                    let idx = cand_bits.trailing_zeros() as usize;
+                    cand_bits &= cand_bits - 1;
+                    // Check downstream space (credit): ejection always has
+                    // room (NI sinks immediately).
+                    if out_port != Port::Local {
+                        let flits = self.routers[r].head(idx).packet.flits;
+                        let downstream = opposite(out_port).index() * VirtualNetwork::COUNT
+                            + idx % VirtualNetwork::COUNT;
+                        let free = self.routers[next].inputs[downstream]
+                            .free_flits(self.config.buffer_flits);
+                        if free < flits {
+                            continue;
+                        }
+                    }
+                    winner = Some(idx);
+                    break 'scan;
+                }
+            }
+            let Some(idx) = winner else {
+                continue;
+            };
+            let in_port = idx / VirtualNetwork::COUNT;
+            // Dequeue the winner, exposing the FIFO's next head.
+            let packet = {
+                let router = &mut self.routers[r];
+                router.rr_pointer[o] = (idx + 1) % CANDIDATES;
+                let buf = &mut router.inputs[idx];
+                let bp = buf.queue.pop_front().unwrap();
+                buf.occupied_flits -= bp.packet.flits;
+                match buf.queue.front() {
+                    None => router.occupancy &= !(1u16 << idx),
+                    Some(head) if head.ready_at <= now => eligible[head.out.index()] |= 1 << idx,
+                    Some(_) => {}
+                }
+                bp.packet
+            };
+            let flits = packet.flits;
+            // The Figure 11 metric: every flit leaving a router crossbar is
+            // one router traversal.
+            self.stats.record_traversal(packet.vnet, flits);
+            self.link_stats.record(here, out_port, flits);
+            self.routers[r].link_busy_until[o] = now + flits as Cycle;
+            self.resident[r] -= 1;
+            if in_port == Port::Local.index() && self.inject_pending[r] > 0 {
+                // Local buffer space freed behind an NI backlog: the next
+                // cycle's drain may move it.
+                self.wake_hint = self.wake_hint.min(now + 1);
+            }
+            if out_port == Port::Local {
+                self.deliveries.push(PendingDelivery {
+                    due: now + flits as Cycle,
+                    node: here,
+                    packet,
+                });
+            } else {
+                let ready_at = now + flits as Cycle + self.config.pipeline_depth as Cycle - 1;
+                let route = self.mesh.route_xy(NodeId(next as u16), packet.dst);
+                let vnet = packet.vnet;
+                self.routers[next].accept(opposite(out_port), vnet, ready_at, route, packet);
+                self.resident[next] += 1;
+                self.mark_active(next);
+                self.wake_hint = self.wake_hint.min(self.routers[next].wake_at);
+            }
+        }
+        self.routers[r].refresh_wake();
     }
 
     fn collect_deliveries_into(&mut self, now: Cycle, out: &mut Vec<(NodeId, P)>) {
         let mut i = 0;
         while i < self.deliveries.len() {
-            if self.deliveries[i].due <= now {
+            let due = self.deliveries[i].due;
+            if due <= now {
                 let d = self.deliveries.swap_remove(i);
                 self.stats.record_delivery(now - d.packet.injected_at);
                 self.in_network -= 1;
                 out.push((d.node, d.packet.payload));
             } else {
+                self.wake_hint = self.wake_hint.min(due);
                 i += 1;
             }
         }
@@ -1169,333 +814,6 @@ mod tests {
         let got = drive(&mut recycled);
         assert_eq!(got, expected, "recycled network must replay identically");
         assert_eq!(format!("{:?}", recycled.stats()), expected_stats);
-    }
-
-    /// Drive an express-enabled network under the same step-every-cycle
-    /// protocol `run_until_idle` uses, injecting `plan` (cycle, src, dst,
-    /// vnet, flits, payload) and stalling links per `stalls` (cycle, node,
-    /// cycles). Express injections that cannot be admitted collapse all
-    /// flights and fall back, exactly as the system run loop does.
-    #[allow(clippy::type_complexity)]
-    fn drive_plan(
-        net: &mut Network<u32>,
-        express: bool,
-        plan: &[(Cycle, u16, u16, VirtualNetwork, u32, u32)],
-        stalls: &[(Cycle, u16, Cycles)],
-        horizon: Cycle,
-    ) -> Vec<(Cycle, NodeId, u32)> {
-        net.set_express(express);
-        let mut delivered = Vec::new();
-        let mut buf = Vec::new();
-        for now in 0..horizon {
-            for &(_, node, cycles) in stalls.iter().filter(|s| s.0 == now) {
-                net.collapse_express(now.saturating_sub(1));
-                net.stall_links(now, NodeId(node), cycles);
-            }
-            for &(at, src, dst, vnet, flits, payload) in plan.iter().filter(|p| p.0 == now) {
-                let _ = at;
-                let injected = express
-                    && net
-                        .try_inject_express(
-                            now,
-                            now,
-                            Cycle::MAX,
-                            NodeId(src),
-                            NodeId(dst),
-                            vnet,
-                            flits,
-                            payload,
-                        )
-                        .is_ok();
-                if !injected {
-                    net.collapse_express(now.saturating_sub(1));
-                    net.inject(now, NodeId(src), NodeId(dst), vnet, flits, payload);
-                }
-            }
-            net.step_into(now, &mut buf);
-            delivered.extend(buf.iter().map(|&(n, p)| (now, n, p)));
-        }
-        assert!(net.is_idle(), "plan did not drain within {horizon} cycles");
-        delivered
-    }
-
-    /// Express on vs off must produce bit-identical deliveries, traffic
-    /// stats, link stats, and *future behaviour* (round-robin pointers and
-    /// link horizons probed by a follow-up burst) for randomized traffic.
-    fn assert_express_transparent(
-        mesh: Mesh,
-        plan: &[(Cycle, u16, u16, VirtualNetwork, u32, u32)],
-        stalls: &[(Cycle, u16, Cycles)],
-        horizon: Cycle,
-    ) {
-        let n = mesh.nodes() as u16;
-        // A follow-up burst probing arbitration state the express path must
-        // have synthesized: many packets contending at every router.
-        let burst_at = horizon;
-        let mut burst = Vec::new();
-        for i in 0..n {
-            burst.push((
-                burst_at,
-                i,
-                (i * 7 + 3) % n,
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                10_000 + i as u32,
-            ));
-            burst.push((
-                burst_at,
-                (i * 5 + 1) % n,
-                (i * 11 + 2) % n,
-                VirtualNetwork::Response,
-                DATA_FLITS,
-                20_000 + i as u32,
-            ));
-        }
-        let run = |express: bool| {
-            let mut net = Network::new(mesh, NocConfig::default());
-            let mut all = drive_plan(&mut net, express, plan, stalls, horizon);
-            all.extend(drive_plan(&mut net, false, &burst, &[], horizon * 2));
-            (all, format!("{:?}", net.stats()), net.link_stats().total())
-        };
-        let (d_off, s_off, l_off) = run(false);
-        let (d_on, s_on, l_on) = run(true);
-        assert_eq!(d_on, d_off, "delivery stream diverged");
-        assert_eq!(s_on, s_off, "traffic stats diverged");
-        assert_eq!(l_on, l_off, "link stats diverged");
-    }
-
-    #[test]
-    fn express_single_packet_matches_stepped_latency() {
-        let mut net: Network<u32> = Network::new(Mesh::paper(), NocConfig::default());
-        net.set_express(true);
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                Cycle::MAX,
-                NodeId(0),
-                NodeId(3),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                7
-            )
-            .is_ok());
-        assert_eq!(net.express_flight_count(), 1);
-        assert_eq!(net.next_express_due(), Some(16));
-        let mut buf = Vec::new();
-        net.step_into(16, &mut buf);
-        assert_eq!(buf, vec![(NodeId(3), 7)]);
-        assert!(net.is_idle());
-        // Identical Figure 11 footprint to the stepped run: 4 traversals.
-        assert_eq!(net.stats().router_traversals(), 4 * CONTROL_FLITS as u64);
-        assert_eq!(net.express_counters(), (1, 3));
-    }
-
-    #[test]
-    fn express_rejects_overlapping_reservations_and_disabled_state() {
-        let mut net: Network<u32> = Network::new(Mesh::paper(), NocConfig::default());
-        // Disabled by default.
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                Cycle::MAX,
-                NodeId(0),
-                NodeId(3),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                1
-            )
-            .is_err());
-        net.set_express(true);
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                Cycle::MAX,
-                NodeId(0),
-                NodeId(3),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                1
-            )
-            .is_ok());
-        // Same route, same cycle: reservations overlap at every router.
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                Cycle::MAX,
-                NodeId(0),
-                NodeId(3),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                2
-            )
-            .is_err());
-        // Disjoint route, same cycle: admissible alongside the first.
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                Cycle::MAX,
-                NodeId(12),
-                NodeId(15),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                3
-            )
-            .is_ok());
-        assert_eq!(net.express_flight_count(), 2);
-    }
-
-    #[test]
-    fn express_veto_window_blocks_admission() {
-        let mut net: Network<u32> = Network::new(Mesh::paper(), NocConfig::default());
-        net.set_express(true);
-        // Zero-load due for 0->3 control is 16; a veto at 16 must reject.
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                16,
-                NodeId(0),
-                NodeId(3),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                1
-            )
-            .is_err());
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                17,
-                NodeId(0),
-                NodeId(3),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                1
-            )
-            .is_ok());
-    }
-
-    #[test]
-    fn express_uniform_random_traffic_is_transparent() {
-        for (mesh, seed) in [(Mesh::paper(), 101u64), (Mesh::new(8, 8), 202)] {
-            let n = mesh.nodes() as u64;
-            let mut rng = puno_sim::SimRng::new(seed);
-            let mut plan = Vec::new();
-            for i in 0..220u32 {
-                let at = rng.gen_range(600) as Cycle;
-                let src = rng.gen_range(n) as u16;
-                let dst = rng.gen_range(n) as u16;
-                let (vnet, flits) = match rng.gen_range(3) {
-                    0 => (VirtualNetwork::Request, CONTROL_FLITS),
-                    1 => (VirtualNetwork::Response, DATA_FLITS),
-                    _ => (VirtualNetwork::Forward, CONTROL_FLITS),
-                };
-                plan.push((at, src, dst, vnet, flits, i));
-            }
-            plan.sort_by_key(|p| p.0);
-            assert_express_transparent(mesh, &plan, &[], 5000);
-        }
-    }
-
-    #[test]
-    fn express_hotspot_traffic_is_transparent() {
-        for (mesh, seed) in [(Mesh::paper(), 7u64), (Mesh::new(8, 8), 8)] {
-            let n = mesh.nodes() as u64;
-            let mut rng = puno_sim::SimRng::new(seed);
-            let mut plan = Vec::new();
-            for i in 0..160u32 {
-                let at = rng.gen_range(500) as Cycle;
-                let src = rng.gen_range(n) as u16;
-                // Everything converges on node 0: heavy shared-link
-                // contention, frequent collapse fallbacks.
-                plan.push((at, src, 0, VirtualNetwork::Request, CONTROL_FLITS, i));
-            }
-            plan.sort_by_key(|p| p.0);
-            assert_express_transparent(mesh, &plan, &[], 8000);
-        }
-    }
-
-    #[test]
-    fn express_collapse_on_link_stall_is_transparent() {
-        // Sparse traffic (most packets fly express) with stalls landing
-        // mid-flight, forcing exact rematerialization.
-        let mut rng = puno_sim::SimRng::new(33);
-        let mut plan = Vec::new();
-        for i in 0..60u32 {
-            let at = (i as Cycle) * 40 + rng.gen_range(20) as Cycle;
-            let src = rng.gen_range(16) as u16;
-            let dst = rng.gen_range(16) as u16;
-            plan.push((at, src, dst, VirtualNetwork::Response, DATA_FLITS, i));
-        }
-        plan.sort_by_key(|p| p.0);
-        let stalls: Vec<(Cycle, u16, Cycles)> = (0..12)
-            .map(|k| (k * 190 + 7, (k * 5 % 16) as u16, 25))
-            .collect();
-        assert_express_transparent(Mesh::paper(), &plan, &stalls, 5000);
-    }
-
-    #[test]
-    fn express_mid_flight_collapse_rematerializes_exactly() {
-        // Deterministic single-flight collapse at every possible phase of
-        // the flight: pre-drain, each buffered hop, and pending ejection
-        // (t strictly before the due cycle 16 — the token never parks past
-        // a flight's due, so later collapses cannot happen).
-        for t in 0..16u64 {
-            let mut net: Network<u32> = Network::new(Mesh::paper(), NocConfig::default());
-            net.set_express(true);
-            assert!(net
-                .try_inject_express(
-                    0,
-                    0,
-                    Cycle::MAX,
-                    NodeId(0),
-                    NodeId(3),
-                    VirtualNetwork::Request,
-                    CONTROL_FLITS,
-                    9
-                )
-                .is_ok());
-            net.collapse_express(t);
-            assert_eq!(net.express_flight_count(), 0);
-            assert!(!net.is_idle());
-            // Stepped from phase t, delivery still lands at cycle 16.
-            let mut buf = Vec::new();
-            let mut delivered = Vec::new();
-            for now in t + 1..40 {
-                net.step_into(now, &mut buf);
-                delivered.extend(buf.iter().map(|&(n, p)| (now, n, p)));
-            }
-            assert_eq!(delivered, vec![(16, NodeId(3), 9)], "collapse at {t}");
-            assert_eq!(net.stats().router_traversals(), 4 * CONTROL_FLITS as u64);
-        }
-    }
-
-    #[test]
-    fn reset_clears_express_state() {
-        let mut net: Network<u32> = Network::new(Mesh::paper(), NocConfig::default());
-        net.set_express(true);
-        assert!(net
-            .try_inject_express(
-                0,
-                0,
-                Cycle::MAX,
-                NodeId(0),
-                NodeId(5),
-                VirtualNetwork::Request,
-                CONTROL_FLITS,
-                1
-            )
-            .is_ok());
-        net.reset();
-        assert!(net.is_idle());
-        assert_eq!(net.express_flight_count(), 0);
-        assert_eq!(net.express_counters(), (0, 0));
-        assert!(!net.express_enabled(), "reset restores constructor state");
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl<E> EventQueue<E> {
 
     /// Cycle of the earliest pending *non-token* event, if any — what the
     /// queue front would be if the token were not armed. Used to pick the
-    /// token's fast-forward target during network quiescence.
+    /// token's fast-forward target when idle network steps are skipped.
     #[inline]
     pub fn peek_cycle_ignoring_token(&self) -> Option<Cycle> {
         let bucket = self.front_bucket_cycle();

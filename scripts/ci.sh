@@ -151,33 +151,6 @@ grep -q "prefix-fork: 24 forked cell(s)" "$RES_DIR/fork1.txt" \
     || { echo "fork-off sweep unexpectedly reported prefix sharing"; exit 1; }
 echo "prefix-fork smoke OK (fork-on and fork-off sweeps byte-identical, 24 cells forked)"
 
-echo "== NoC express smoke (golden sweep, express-on vs express-off) =="
-# The analytic express path fast-forwards contention-free packets past the
-# cycle-stepped routers and quiesces the run loop while only express
-# flights are in the air. It must be invisible in everything deterministic:
-# the full golden-scale sweep runs once with express on (the default) and
-# once with it off, and all rows above the host-perf section must match
-# byte for byte. The on-sweep must honestly report its express activity
-# (and a filtered ssca2 sweep proves the hit rate is nonzero on the
-# workload the throughput claim is made on); the off-sweep must not.
-PUNO_NOC_EXPRESS=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/express1.txt" 2> /dev/null
-PUNO_NOC_EXPRESS=0 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/express0.txt" 2> /dev/null
-sed '/^simulator throughput/,$d' "$RES_DIR/express1.txt" > "$RES_DIR/express1.det.txt"
-sed '/^simulator throughput/,$d' "$RES_DIR/express0.txt" > "$RES_DIR/express0.det.txt"
-diff "$RES_DIR/express1.det.txt" "$RES_DIR/express0.det.txt" \
-    || { echo "express sweep diverged from the cycle-stepped run"; exit 1; }
-grep -q "express: " "$RES_DIR/express1.txt" \
-    || { echo "express-on sweep reported no express activity"; exit 1; }
-! grep -q "express: " "$RES_DIR/express0.txt" \
-    || { echo "express-off sweep unexpectedly reported express activity"; exit 1; }
-PUNO_NOC_EXPRESS=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 --filter ssca2 \
-    > "$RES_DIR/express_ssca2.txt" 2> /dev/null
-grep -q "express: " "$RES_DIR/express_ssca2.txt" \
-    || { echo "ssca2 cells never took the express path"; exit 1; }
-echo "express smoke OK (express-on and express-off sweeps byte-identical, ssca2 hit rate nonzero)"
-
 echo "== traced smoke (one cell, JSONL schema + Chrome export) =="
 # Re-run one sweep cell fully traced: every JSONL line must parse as a
 # trace record within the requested channel filter, and the Chrome-trace
