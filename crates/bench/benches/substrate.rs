@@ -443,18 +443,6 @@ fn bench_sweep(h: &mut Harness) {
     h.bench("sweep/8cell_cold_scale0.05", 3, move || {
         let mut opts = SweepOptions::new(1, 0.05);
         opts.result_cache = None;
-        opts.prefix_fork = false;
-        let outcomes = try_sweep(&workloads, &[Mechanism::Baseline, Mechanism::Puno], &opts);
-        black_box(outcomes.iter().filter(|o| o.is_ok()).count() as u64)
-    });
-    // The same grid with prefix-fork execution: each workload's
-    // mechanism-neutral prefix runs once and the sibling cell forks from
-    // the snapshot. The gap against `8cell_cold_scale0.05` is the measured
-    // prefix-sharing win.
-    h.bench("sweep/8cell_cold_fork", 3, move || {
-        let mut opts = SweepOptions::new(1, 0.05);
-        opts.result_cache = None;
-        opts.prefix_fork = true;
         let outcomes = try_sweep(&workloads, &[Mechanism::Baseline, Mechanism::Puno], &opts);
         black_box(outcomes.iter().filter(|o| o.is_ok()).count() as u64)
     });

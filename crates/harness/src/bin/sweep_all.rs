@@ -38,12 +38,8 @@
 //! directory), the channel filter honours `PUNO_TRACE` (default: all
 //! channels), and the abort-blame / contention-heat / time-series summary
 //! prints to stdout. The result cache is bypassed — a cache hit replays no
-//! events, so it could never produce a trace. By default the traced run
-//! fast-forwards through the mechanism-neutral prefix (everything before
-//! the first transaction) with the sinks detached, attaching them at the
-//! same snapshot boundary the sweep forks from — metrics are unchanged,
-//! but pre-transaction NoC/memory records are absent from the stream; set
-//! `PUNO_PREFIX_FORK=0` to trace from cycle 0.
+//! events, so it could never produce a trace. The traced run streams every
+//! record from cycle 0, pre-transaction warm-up included.
 
 use puno_harness::report::{render_host_perf, render_quarantine, FigureMetric, NormalizedFigure};
 use puno_harness::sweep::{try_sweep_rows, CellOutcome, SweepOptions};
@@ -227,23 +223,6 @@ fn write_json_rows(dest: &str, rows: &[WarehouseRow]) {
 fn run_traced_cell(args: &Args, wl: WorkloadId, mech: Mechanism) {
     let params = wl.params().scaled(args.scale);
     let mut sys = System::new(args.config_fn()(mech), &params, args.seed);
-    // Fast-forward through the mechanism-neutral prefix with the sinks
-    // still detached — the same checkpoint boundary the sweep forks cells
-    // from — instead of tracing the pre-transaction warm-up. Metrics are
-    // bit-identical either way (the prefix loop is the serial loop with an
-    // early stop); only pre-begin NoC/memory records are absent from the
-    // stream. `PUNO_PREFIX_FORK=0` restores cycle-0 tracing.
-    let mut fast_forwarded = None;
-    if puno_harness::run::env_prefix_fork() {
-        match sys.run_prefix(puno_harness::run::env_prefix_cycles()) {
-            Ok(puno_harness::PrefixStop::Armed { cycle }) => fast_forwarded = Some(cycle),
-            Ok(puno_harness::PrefixStop::Completed) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let mask = match puno_sim::TraceConfig::from_env() {
         Ok(Some(cfg)) => cfg.mask,
         Ok(None) => puno_sim::ChannelMask::ALL,
@@ -294,12 +273,6 @@ fn run_traced_cell(args: &Args, wl: WorkloadId, mech: Mechanism) {
         mask.spec(),
         path.display()
     );
-    if let Some(cycle) = fast_forwarded {
-        eprintln!(
-            "trace fast-forward: pre-transaction prefix (cycles 0..{cycle}) replayed with \
-             sinks detached; set PUNO_PREFIX_FORK=0 to trace from cycle 0"
-        );
-    }
 }
 
 /// Report the process-wide result cache's hit/miss/recovery counters on
@@ -354,9 +327,10 @@ fn run_compact_cache() -> ! {
 }
 
 /// `--filter workload:mechanism` mode: run exactly the selected cells —
-/// grouped per workload so cells sharing a prefix group still fork from one
-/// snapshot — and print the raw per-cell summary plus host perf (the
-/// tables and baseline-normalized figures need the full grid).
+/// one sweep per workload over just that workload's selected mechanisms,
+/// so no unselected cell of the workload x mechanism grid runs — and print
+/// the raw per-cell summary plus host perf (the tables and
+/// baseline-normalized figures need the full grid).
 fn run_pair_cells(args: &Args) {
     let t0 = std::time::Instant::now();
     let mut opts = SweepOptions::new(args.seed, args.scale);

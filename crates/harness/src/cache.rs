@@ -30,14 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// covers the configuration and workload inputs, but only this constant
 /// covers the code. (The golden snapshot suite is the detector: if it needs
 /// a re-bless, this needs a bump.)
-pub const ENGINE_VERSION: u32 = 4;
-
-/// Version of the prefix-fork rule for grouping-key purposes: bump when the
-/// fork-point rule (`System::run_prefix`) or the mechanism-swap procedure
-/// (`System::fork_from`) changes in a way that moves the fork boundary.
-/// Folded into [`prefix_digest`], so a rule change regroups cells the same
-/// way an engine bump invalidates results.
-pub const PREFIX_FORK_VERSION: u32 = 1;
+pub const ENGINE_VERSION: u32 = 5;
 
 /// Content digest identifying one simulation cell: the full system
 /// configuration, the workload parameters, the seed, and the engine
@@ -50,32 +43,10 @@ pub fn cell_digest(config: &SystemConfig, params: &WorkloadParams, seed: u64) ->
     fnv1a_64(repr.as_bytes())
 }
 
-/// Mechanism-neutral group key for prefix-fork execution: the cell identity
-/// with the mechanism axis normalized out, so every cell that shares a
-/// `(workload params, seed, geometry)` group — and therefore a run prefix
-/// up to the first TX_BEGIN (see `System::run_prefix`) — hashes to the same
-/// digest. Covers [`ENGINE_VERSION`] and [`PREFIX_FORK_VERSION`], so an
-/// engine or fork-rule change regroups cells instead of silently mixing
-/// incompatible prefixes. Persisted in every [`CacheRecord`], which lets a
-/// warm sweep skip the prefix run for any group whose cells all replay from
-/// the cache.
-pub fn prefix_digest(config: &SystemConfig, params: &WorkloadParams, seed: u64) -> u64 {
-    let mut neutral = *config;
-    neutral.mechanism = crate::mechanism::Mechanism::Baseline;
-    let repr = format!(
-        "prefix-v{PREFIX_FORK_VERSION}|engine-v{ENGINE_VERSION}|{neutral:?}|{params:?}|seed={seed}"
-    );
-    fnv1a_64(repr.as_bytes())
-}
-
 /// One persisted cache entry (one JSONL line).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CacheRecord {
     pub digest: u64,
-    /// Mechanism-neutral prefix-group key (see [`prefix_digest`]): every
-    /// record sharing it belongs to one `(workload params, seed, geometry)`
-    /// group whose cells fork from one run prefix when cold.
-    pub prefix_digest: u64,
     /// Engine version the record was produced under; records from another
     /// version never serve lookups (their digests differ anyway) and are
     /// dropped by [`ResultCache::compact`].
@@ -91,12 +62,11 @@ pub struct CacheRecord {
 }
 
 impl CacheRecord {
-    fn build(digest: u64, prefix_digest: u64, seed: u64, metrics: &RunMetrics) -> Self {
+    fn build(digest: u64, seed: u64, metrics: &RunMetrics) -> Self {
         let metrics_json =
             serde_json::to_string(metrics).expect("cache record metrics must serialize");
         let checksum = record_checksum(
             digest,
-            prefix_digest,
             ENGINE_VERSION,
             &metrics.workload,
             &metrics.mechanism,
@@ -105,7 +75,6 @@ impl CacheRecord {
         );
         Self {
             digest,
-            prefix_digest,
             engine_version: ENGINE_VERSION,
             workload: metrics.workload.clone(),
             mechanism: metrics.mechanism.clone(),
@@ -123,7 +92,6 @@ impl CacheRecord {
         self.checksum
             == record_checksum(
                 self.digest,
-                self.prefix_digest,
                 self.engine_version,
                 &self.workload,
                 &self.mechanism,
@@ -137,7 +105,6 @@ impl CacheRecord {
 /// plus the canonical JSON of the metrics payload.
 fn record_checksum(
     digest: u64,
-    prefix_digest: u64,
     engine_version: u32,
     workload: &str,
     mechanism: &str,
@@ -145,10 +112,8 @@ fn record_checksum(
     metrics_json: &str,
 ) -> u64 {
     fnv1a_64(
-        format!(
-            "cache|{digest}|p{prefix_digest}|v{engine_version}|{workload}|{mechanism}|{seed}|{metrics_json}"
-        )
-        .as_bytes(),
+        format!("cache|{digest}|v{engine_version}|{workload}|{mechanism}|{seed}|{metrics_json}")
+            .as_bytes(),
     )
 }
 
@@ -162,10 +127,14 @@ enum LineClass {
     Corrupt,
 }
 
+/// The version is checked before the checksum: the checksum formula is part
+/// of the record format, so a record from another engine version is judged
+/// stale without being verified (it is never served either way), and only
+/// current-version records must verify.
 fn classify_line(line: &str) -> LineClass {
     match serde_json::from_str::<CacheRecord>(line) {
-        Ok(rec) if !rec.checksum_valid() => LineClass::Corrupt,
         Ok(rec) if rec.engine_version != ENGINE_VERSION => LineClass::Stale,
+        Ok(rec) if !rec.checksum_valid() => LineClass::Corrupt,
         Ok(rec) => LineClass::Valid(rec),
         Err(_) => LineClass::Corrupt,
     }
@@ -302,11 +271,10 @@ impl ResultCache {
         found
     }
 
-    /// Persist one finished cell under its cell digest and its
-    /// mechanism-neutral prefix-group key (see [`prefix_digest`]).
-    /// Idempotent per digest: a digest already in memory is not re-appended
-    /// (keeps warm re-runs from growing the file).
-    pub fn store(&self, digest: u64, prefix_digest: u64, seed: u64, metrics: &RunMetrics) {
+    /// Persist one finished cell under its cell digest. Idempotent per
+    /// digest: a digest already in memory is not re-appended (keeps warm
+    /// re-runs from growing the file).
+    pub fn store(&self, digest: u64, seed: u64, metrics: &RunMetrics) {
         {
             let mut entries = self.lock_entries();
             if entries.contains_key(&digest) {
@@ -314,7 +282,7 @@ impl ResultCache {
             }
             entries.insert(digest, metrics.clone());
         }
-        let rec = CacheRecord::build(digest, prefix_digest, seed, metrics);
+        let rec = CacheRecord::build(digest, seed, metrics);
         let line = serde_json::to_string(&rec).expect("cache record must serialize");
         let mut f = self.lock_file();
         let _ = writeln!(f, "{line}");
@@ -613,7 +581,7 @@ mod tests {
 
         let cache = ResultCache::open(&dir).unwrap();
         assert!(cache.lookup(digest).is_none());
-        cache.store(digest, 0, 9, &metrics);
+        cache.store(digest, 9, &metrics);
         // Same process, memory-served.
         let replay = cache.lookup(digest).expect("stored cell must hit");
         assert_eq!(
@@ -639,9 +607,9 @@ mod tests {
         let metrics = run_workload(Mechanism::Baseline, &params, 9);
         let digest = cell_digest(&config, &params, 9);
         let cache = ResultCache::open(&dir).unwrap();
-        cache.store(digest, 0, 9, &metrics);
-        cache.store(digest, 0, 9, &metrics);
-        cache.store(digest, 0, 9, &metrics);
+        cache.store(digest, 9, &metrics);
+        cache.store(digest, 9, &metrics);
+        cache.store(digest, 9, &metrics);
         assert_eq!(cache.stats().stores, 1);
         let lines = std::fs::read_to_string(ResultCache::results_path(&dir))
             .unwrap()
@@ -660,7 +628,7 @@ mod tests {
         let digest = cell_digest(&config, &params, 9);
         {
             let cache = ResultCache::open(&dir).unwrap();
-            cache.store(digest, 0, 9, &metrics);
+            cache.store(digest, 9, &metrics);
         }
         // Simulate a crash mid-append.
         let path = ResultCache::results_path(&dir);
@@ -684,8 +652,8 @@ mod tests {
         let d2 = cell_digest(&config, &params, 10);
         {
             let cache = ResultCache::open(&dir).unwrap();
-            cache.store(d1, 0, 9, &m1);
-            cache.store(d2, 0, 10, &m2);
+            cache.store(d1, 9, &m1);
+            cache.store(d2, 10, &m2);
         }
         // Corrupt the FIRST record in place: the tampered line still parses
         // as JSON, so only the content checksum can catch it.
@@ -728,22 +696,12 @@ mod tests {
         let digest = cell_digest(&config, &params, 9);
         {
             let cache = ResultCache::open(&dir).unwrap();
-            cache.store(digest, 0, 9, &metrics);
+            cache.store(digest, 9, &metrics);
         }
-        // Craft a record from a future engine version with a checksum that
-        // verifies for its own content: it must be skipped as stale, not
-        // corrupt (and never served).
-        let mut rec = CacheRecord::build(0xDEAD, 0, 9, &metrics);
+        // A record from a future engine version must be skipped as stale,
+        // not corrupt (and never served), whatever its checksum.
+        let mut rec = CacheRecord::build(0xDEAD, 9, &metrics);
         rec.engine_version = ENGINE_VERSION + 1;
-        rec.checksum = record_checksum(
-            rec.digest,
-            rec.prefix_digest,
-            rec.engine_version,
-            &rec.workload,
-            &rec.mechanism,
-            rec.seed,
-            &serde_json::to_string(&rec.metrics).unwrap(),
-        );
         let path = ResultCache::results_path(&dir);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&serde_json::to_string(&rec).unwrap());
@@ -763,6 +721,44 @@ mod tests {
     }
 
     #[test]
+    fn previous_format_records_open_as_stale_not_corrupt() {
+        let dir = temp_dir("v4-format");
+        let params = WorkloadId::Ssca2.params().scaled(0.05);
+        let metrics = run_workload(Mechanism::Baseline, &params, 9);
+        // A line exactly as engine v4 wrote it: it carries the retired
+        // prefix-group column, and its checksum covers that column, so it
+        // cannot verify under the current formula. The version check must
+        // classify it before the checksum does.
+        let metrics_json = serde_json::to_string(&metrics).unwrap();
+        let (digest, prefix, version, seed) = (0xBEEFu64, 0xF00Du64, 4u32, 9u64);
+        let checksum = fnv1a_64(
+            format!(
+                "cache|{digest}|p{prefix}|v{version}|{}|{}|{seed}|{metrics_json}",
+                metrics.workload, metrics.mechanism
+            )
+            .as_bytes(),
+        );
+        let line = format!(
+            "{{\"digest\":{digest},\"prefix_digest\":{prefix},\"engine_version\":{version},\
+             \"workload\":{:?},\"mechanism\":{:?},\"seed\":{seed},\
+             \"metrics\":{metrics_json},\"checksum\":{checksum}}}\n",
+            metrics.workload, metrics.mechanism
+        );
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(ResultCache::results_path(&dir), line).unwrap();
+
+        let cache = ResultCache::open(&dir).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.stale_skipped, 1, "a v4 record is stale");
+        assert_eq!(stats.corrupt_skipped, 0, "a v4 record is not corrupt");
+        assert!(cache.lookup(digest).is_none());
+        let c = cache.compact().unwrap();
+        assert_eq!((c.dropped_stale, c.dropped_corrupt, c.kept), (1, 0, 0));
+        assert_eq!(ResultCache::open(&dir).unwrap().stats().stale_skipped, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn compact_is_idempotent_and_preserves_hits() {
         let dir = temp_dir("compact-idem");
         let params = WorkloadId::Ssca2.params().scaled(0.05);
@@ -770,7 +766,7 @@ mod tests {
         let metrics = run_workload(Mechanism::Baseline, &params, 9);
         let digest = cell_digest(&config, &params, 9);
         let cache = ResultCache::open(&dir).unwrap();
-        cache.store(digest, 0, 9, &metrics);
+        cache.store(digest, 9, &metrics);
         let first = cache.compact().unwrap();
         assert_eq!(first.kept, 1);
         let again = cache.compact().unwrap();
@@ -779,7 +775,7 @@ mod tests {
         // re-pointed append handle still stores.
         assert!(cache.lookup(digest).is_some());
         let m2 = run_workload(Mechanism::Baseline, &params, 11);
-        cache.store(cell_digest(&config, &params, 11), 0, 11, &m2);
+        cache.store(cell_digest(&config, &params, 11), 11, &m2);
         let reopened = ResultCache::open(&dir).unwrap();
         assert_eq!(reopened.stats().entries, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -793,7 +789,7 @@ mod tests {
         let metrics = run_workload(Mechanism::Baseline, &params, 9);
         let digest = cell_digest(&config, &params, 9);
         let cache = ResultCache::open(&dir).unwrap();
-        cache.store(digest, 0, 9, &metrics);
+        cache.store(digest, 9, &metrics);
         // Poison both mutexes the way a panicking worker would.
         for _ in 0..2 {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -807,7 +803,7 @@ mod tests {
         assert!(cache.lookup(digest).is_some());
         let m2 = run_workload(Mechanism::Baseline, &params, 12);
         let d2 = cell_digest(&config, &params, 12);
-        cache.store(d2, 0, 12, &m2);
+        cache.store(d2, 12, &m2);
         assert!(cache.lookup(d2).is_some());
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.compact().unwrap().kept, 2);

@@ -27,10 +27,7 @@ pub mod telemetry;
 pub mod tracefmt;
 pub mod warehouse;
 
-pub use cache::{
-    cell_digest, global_cache, prefix_digest, CostModel, ResultCache, ENGINE_VERSION,
-    PREFIX_FORK_VERSION,
-};
+pub use cache::{cell_digest, global_cache, CostModel, ResultCache, ENGINE_VERSION};
 pub use config::SystemConfig;
 pub use error::RunError;
 pub use mechanism::Mechanism;
@@ -40,6 +37,6 @@ pub use obs::MetricsRegistry;
 pub use oracle::FalseAbortOracle;
 pub use run::{run_workload, run_workload_with_faults, try_run_workload};
 pub use sweep::{sweep, RetryPolicy, SweepResult};
-pub use system::{fork_compatible, PrefixStop, System, SystemSnapshot};
+pub use system::{System, SystemSnapshot};
 pub use telemetry::{TelemetryCollector, TelemetryConfig, TelemetryReport};
 pub use warehouse::{Warehouse, WarehouseRow};

@@ -57,18 +57,13 @@ pub struct HostPerf {
     /// serial path; rising values flag shard imbalance before wall-clock
     /// shows it.
     pub worker_idle_frac: f64,
-    /// 1 when this run was materialized by prefix-fork execution — restored
-    /// from a shared mechanism-neutral prefix snapshot (`System::fork_from`)
-    /// instead of replaying from cycle 0 — and 0 otherwise. Summable across
-    /// a sweep's cells.
+    /// Always 0: prefix-fork execution, which counted forked cells here, is
+    /// retired and every cell runs from cycle 0. Kept, like
+    /// `express_packets`, so the serialized shape and its readers stay valid.
     pub prefix_forks: u64,
-    /// Simulated cycles inherited from the shared prefix snapshot (the fork
-    /// point): the part of this run that was simulated once for the whole
-    /// group rather than per cell.
+    /// Always 0, like `prefix_forks`.
     pub prefix_cycles_shared: u64,
-    /// Host seconds of prefix simulation this cell did not repay: the
-    /// wall-clock the group's prefix runner spent up to the fork point,
-    /// which a straight-line run of this cell would have spent again.
+    /// Always 0, like `prefix_forks`.
     pub prefix_time_saved: f64,
 }
 

@@ -252,53 +252,6 @@ impl NodeState {
         self.trace_buf.clear();
     }
 
-    /// Whether this node's next live wake would execute TX_BEGIN: the
-    /// program counter rests on a transaction item with no transaction in
-    /// flight and no outstanding miss. The prefix-fork boundary stops the
-    /// run when any node satisfies this — everything before the first
-    /// begin is mechanism-neutral (requests carry `tx: None`, so predictors
-    /// and backoff are never consulted), so the state here is safe to
-    /// snapshot and fork under a different mechanism.
-    pub fn poised_to_begin(&self) -> bool {
-        self.phase == Phase::Ready
-            && self.mshr.is_none()
-            && self.htm.current().is_none()
-            && matches!(
-                self.program.items.get(self.pc),
-                Some(WorkItem::Transaction(_))
-            )
-    }
-
-    /// Swap in freshly constructed mechanism-specific state — exactly the
-    /// subset of [`NodeState::reset`] that depends on `config.mechanism` —
-    /// leaving all mechanism-neutral progress (L1 contents, program
-    /// position, writeback/sticky containers) untouched. Only valid before
-    /// the first transaction begins: afterwards the HTM unit, backoff
-    /// engine, and TxLB hold mechanism-dependent history that a swap would
-    /// silently discard. Used by `System::fork_from`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn adopt_mechanism(
-        &mut self,
-        abort_timing: AbortTiming,
-        rmw: Option<RmwPredictor>,
-        txlb: TxLengthBuffer,
-        backoff: BackoffEngine,
-        commit_latency: Cycles,
-        notification_enabled: bool,
-        wakeup_hints: bool,
-    ) {
-        debug_assert!(
-            self.htm.current().is_none() && self.cur_tx.is_none(),
-            "mechanism swap is only valid before the first transaction"
-        );
-        self.htm.reset(abort_timing, rmw);
-        self.txlb = txlb;
-        self.backoff = backoff;
-        self.commit_latency = commit_latency;
-        self.notification_enabled = notification_enabled;
-        self.wakeup_hints = wakeup_hints;
-    }
-
     /// Set the effective trace mask (the node emits `Htm`-channel events).
     pub fn set_trace_mask(&mut self, mask: ChannelMask) {
         self.trace_mask = mask;

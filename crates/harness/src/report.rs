@@ -284,25 +284,6 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
             idle * 100.0
         ));
     }
-    // Prefix-fork accounting, printed only when some cell actually forked
-    // (fork-off sweeps keep today's byte-identical output). `time_saved`
-    // is the prefix wall-clock the forked cells inherited instead of
-    // re-simulating — the sweep's amortization win.
-    let forks: u64 = results.iter().map(|r| r.metrics.host.prefix_forks).sum();
-    if forks > 0 {
-        let shared: u64 = results
-            .iter()
-            .map(|r| r.metrics.host.prefix_cycles_shared)
-            .sum();
-        let saved: f64 = results
-            .iter()
-            .map(|r| r.metrics.host.prefix_time_saved)
-            .sum();
-        out.push_str(&format!(
-            "prefix-fork: {forks} forked cell(s), {shared} prefix cycles shared, \
-             ~{saved:.3}s prefix re-simulation avoided\n"
-        ));
-    }
     out
 }
 

@@ -14,7 +14,7 @@ use crate::cache::{cell_digest, global_cache, CostRecord, ResultCache};
 use crate::error::RunError;
 use crate::metrics::RunMetrics;
 use crate::obs;
-use crate::system::{System, SystemSnapshot};
+use crate::system::System;
 use crate::warehouse::{self, WarehouseRow};
 use crate::{Mechanism, SystemConfig};
 use puno_sim::FaultPlan;
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// One sweep cell: the workload, the mechanism, and the run result.
 #[derive(Clone, Debug)]
@@ -223,15 +223,9 @@ pub struct SweepOptions {
     /// already cover the full config, so differently-configured sweeps
     /// never collide in the result cache.
     pub config: fn(Mechanism) -> SystemConfig,
-    /// Prefix-fork execution (see `System::run_prefix` / `fork_from`):
-    /// cells sharing a `(workload params, seed, geometry)` group run their
-    /// mechanism-neutral prefix — everything up to the first TX_BEGIN —
-    /// once, and every sibling cell forks from the snapshot instead of
-    /// replaying it. Bit-identical to straight-line execution (gated by
-    /// `tests/prefix_fork.rs` and the golden suite); traced retries always
-    /// run straight-line so their trace covers the whole run.
-    /// [`SweepOptions::new`] honours the `PUNO_PREFIX_FORK` env override
-    /// (default on).
+    /// Ignored: prefix-fork execution is retired and every cell runs from
+    /// cycle 0. Kept only so existing callers that still set it compile;
+    /// it has no effect on outcomes.
     pub prefix_fork: bool,
 }
 
@@ -245,29 +239,9 @@ impl SweepOptions {
             checkpoint: std::env::var_os("PUNO_SWEEP_CHECKPOINT").map(PathBuf::from),
             result_cache: global_cache(),
             config: SystemConfig::paper,
-            prefix_fork: crate::run::env_prefix_fork(),
+            prefix_fork: false,
         }
     }
-}
-
-/// One prefix-group slot in a sweep's fork pool: computed once by whichever
-/// worker reaches the group first (siblings block on the `OnceLock` for the
-/// few prefix cycles, then fork), shared for the rest of the sweep.
-enum PrefixEntry {
-    /// The prefix stopped at the mechanism-neutral fork boundary: restore
-    /// `snapshot` and swap the mechanism to materialize any sibling cell.
-    Forkable {
-        snapshot: SystemSnapshot,
-        /// Simulated cycle of the fork boundary.
-        cycle: u64,
-        /// Host seconds the prefix runner spent reaching it (what every
-        /// forked sibling saves).
-        wall_secs: f64,
-    },
-    /// The group's run completed — or failed — before any transaction
-    /// began: nothing to fork, siblings run straight-line (a failing
-    /// prefix re-raises its structured error on the straight-line run).
-    Unavailable,
 }
 
 /// Messages kept in the trace ring when a retry runs traced.
@@ -310,12 +284,6 @@ pub fn try_sweep_rows(
     opts: &SweepOptions,
 ) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
     let programs: Mutex<HashMap<(u64, u64), Arc<ProgramSet>>> = Mutex::new(HashMap::new());
-    // Prefix-fork pool, one slot per `prefix_digest` group. Sweep-local —
-    // never process-global — because the snapshot bakes in this sweep's
-    // fault-plan state, which is only constant within one sweep. Slots are
-    // created lazily on the first *cold* cell of a group, so a fully warm
-    // group never runs its prefix at all.
-    let prefixes: Mutex<HashMap<u64, Arc<OnceLock<PrefixEntry>>>> = Mutex::new(HashMap::new());
     let cache = opts.result_cache.clone();
     // Fault plans perturb simulated behaviour, so those runs are neither
     // served from nor stored into the cache.
@@ -327,7 +295,6 @@ pub fn try_sweep_rows(
         move |mechanism, params, seed, traced| {
             let config = (opts.config)(mechanism);
             let digest = cell_digest(&config, params, seed);
-            let prefix_key = crate::cache::prefix_digest(&config, params, seed);
             if cacheable {
                 if let Some(cache) = &cache {
                     if let Some(metrics) = cache.lookup(digest) {
@@ -349,77 +316,13 @@ pub fn try_sweep_rows(
             // slot to poison the next cell — it is reinstalled only after
             // the run returns normally (Ok or a structured RunError, after
             // which `reset` fully reinitializes it).
-            let mut sys = WORKER_SYSTEM.with(|slot| slot.borrow_mut().take());
-            // Full reinitialization for a straight-line run; deferred so
-            // forked cells — whose `fork_from` overwrites the entire
-            // simulated state anyway — can skip it (see below).
-            let reset_now = |sys: &mut Option<System>| match sys.as_mut() {
-                Some(sys) => sys.reset(config, params, seed, &program_set),
-                None => *sys = Some(System::new_shared(config, params, seed, &program_set)),
-            };
-            // Prefix-fork execution. Traced retries are excluded: their
-            // point is a trace covering the whole run, so they replay from
-            // cycle 0. Exactly one cell per group — whichever worker gets
-            // here first — runs the prefix (siblings block on the slot for
-            // those few cycles) and then simply continues in place; every
-            // other cell restores the snapshot and swaps its mechanism in.
-            let mut ran_prefix_here = false;
-            let mut fork_inherited: Option<(u64, f64)> = None;
-            let prefix_slot = (opts.prefix_fork && !traced).then(|| {
-                let mut map = prefixes.lock().unwrap_or_else(|e| e.into_inner());
-                map.entry(prefix_key).or_default().clone()
-            });
-            if let Some(slot) = &prefix_slot {
-                let entry = slot.get_or_init(|| {
-                    ran_prefix_here = true;
-                    reset_now(&mut sys);
-                    let sys = sys.as_mut().expect("worker System just installed");
-                    // The plan must be armed before the prefix: fault RNG
-                    // draws during the prefix are part of the shared state
-                    // (and of any straight-line run's history).
-                    if !opts.fault_plan.is_empty() {
-                        sys.set_fault_plan(opts.fault_plan.clone());
-                    }
-                    let t0 = std::time::Instant::now();
-                    match sys.run_prefix(crate::run::env_prefix_cycles()) {
-                        Ok(crate::system::PrefixStop::Armed { cycle }) => PrefixEntry::Forkable {
-                            snapshot: sys.snapshot(),
-                            cycle,
-                            wall_secs: t0.elapsed().as_secs_f64(),
-                        },
-                        // Completed before any begin, or failed (the
-                        // continued run below re-detects the same
-                        // structured failure, with forensics on retry).
-                        Ok(crate::system::PrefixStop::Completed) | Err(_) => {
-                            PrefixEntry::Unavailable
-                        }
-                    }
-                });
-                if !ran_prefix_here {
-                    if let PrefixEntry::Forkable {
-                        snapshot,
-                        cycle,
-                        wall_secs,
-                    } = entry
-                    {
-                        // Fast path: the restore inside `fork_from` replaces
-                        // the whole simulated state, so a recycled worker
-                        // System only needs its host counters and sinks
-                        // cleared, not the full per-node `reset`. An empty
-                        // slot or a geometry mismatch falls back to `reset`.
-                        if !sys.as_mut().is_some_and(|s| s.prepare_fork_target(&config)) {
-                            reset_now(&mut sys);
-                        }
-                        let sys = sys.as_mut().expect("worker System just installed");
-                        sys.fork_from(snapshot, config);
-                        fork_inherited = Some((*cycle, *wall_secs));
-                    }
+            let mut sys = match WORKER_SYSTEM.with(|slot| slot.borrow_mut().take()) {
+                Some(mut sys) => {
+                    sys.reset(config, params, seed, &program_set);
+                    sys
                 }
-            }
-            if !ran_prefix_here && fork_inherited.is_none() {
-                reset_now(&mut sys);
-            }
-            let mut sys = sys.expect("worker System just installed");
+                None => System::new_shared(config, params, seed, &program_set),
+            };
             if traced {
                 sys.enable_trace(RETRY_TRACE_CAPACITY);
                 // Auto-arm the snapshot ring so a persistently failing
@@ -432,24 +335,16 @@ pub fn try_sweep_rows(
                     sys.set_snapshot_every(every);
                 }
             }
-            // Straight-line cells arm the plan here; prefix runners already
-            // did, and forked cells inherited the injector mid-run state
-            // from the snapshot (re-arming would rewind its RNG draws).
-            if !opts.fault_plan.is_empty() && !ran_prefix_here && fork_inherited.is_none() {
+            if !opts.fault_plan.is_empty() {
                 sys.set_fault_plan(opts.fault_plan.clone());
             }
             sys.set_run_threads(crate::run::env_run_threads());
             let result = sys.try_run_recycled();
             WORKER_SYSTEM.with(|slot| *slot.borrow_mut() = Some(sys));
-            let mut metrics = result?;
-            if let Some((cycle, saved)) = fork_inherited {
-                metrics.host.prefix_forks = 1;
-                metrics.host.prefix_cycles_shared = cycle;
-                metrics.host.prefix_time_saved = saved;
-            }
+            let metrics = result?;
             if cacheable {
                 if let Some(cache) = &cache {
-                    cache.store(digest, prefix_key, seed, &metrics);
+                    cache.store(digest, seed, &metrics);
                 }
             }
             Ok(metrics)
@@ -752,7 +647,6 @@ struct SweepObs {
     cache_hits: obs::Counter,
     retries: obs::Counter,
     warehouse_rows: obs::Counter,
-    prefix_forks: obs::Counter,
     skipped_net_cycles: obs::Counter,
     cells_total: obs::Gauge,
     cells_done: obs::Gauge,
@@ -791,11 +685,6 @@ impl SweepObs {
             warehouse_rows: registry.counter(
                 "puno_warehouse_rows_total",
                 "Rows appended to the PUNO_WAREHOUSE result warehouse.",
-                &[],
-            ),
-            prefix_forks: registry.counter(
-                "puno_prefix_forks_total",
-                "Cells materialized by forking a shared mechanism-neutral prefix.",
                 &[],
             ),
             skipped_net_cycles: registry.counter(
@@ -839,7 +728,6 @@ impl SweepObs {
         match outcome {
             CellOutcome::Ok { metrics, .. } => {
                 self.done_ok.inc();
-                self.prefix_forks.add(metrics.host.prefix_forks);
                 self.skipped_net_cycles.add(metrics.host.quiesced_cycles);
             }
             CellOutcome::Err { .. } => self.done_err.inc(),

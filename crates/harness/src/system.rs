@@ -149,32 +149,6 @@ impl SystemSnapshot {
     }
 }
 
-/// How [`System::run_prefix`] stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PrefixStop {
-    /// Stopped at an event boundary with some node poised to issue its
-    /// first TX_BEGIN (or at the `cap` override, whichever came first);
-    /// `cycle` is the boundary. The state is mechanism-neutral — snapshot
-    /// it and [`System::fork_from`] every sibling cell.
-    Armed { cycle: Cycle },
-    /// The run finished before any node reached a transaction: there is
-    /// nothing mechanism-dependent left to fork.
-    Completed,
-}
-
-/// Whether two configurations agree on everything except the mechanism
-/// axis — the precondition for [`System::fork_from`]. Compared on the
-/// canonical `Debug` representation with the mechanism normalized out (the
-/// same canonical form the result-cache digests hash), so any added config
-/// field is covered automatically.
-pub fn fork_compatible(a: &SystemConfig, b: &SystemConfig) -> bool {
-    let mut a = *a;
-    let mut b = *b;
-    a.mechanism = Mechanism::Baseline;
-    b.mechanism = Mechanism::Baseline;
-    format!("{a:?}") == format!("{b:?}")
-}
-
 /// The deep-cloned simulated state behind a [`SystemSnapshot`].
 struct SnapshotState {
     config: SystemConfig,
@@ -513,45 +487,6 @@ impl System {
         self.config = config;
     }
 
-    /// Cheap alternative to [`System::reset`] for a recycled worker System
-    /// that is about to be materialized by [`System::fork_from`]: clears
-    /// exactly the host-side counters, sinks, and snapshot ring that
-    /// `reset` clears and `restore` deliberately keeps, but skips
-    /// reinitializing the simulated state (queue, nodes, directories,
-    /// predictors, memory, network) — the fork's restore replaces all of
-    /// it wholesale. Returns `false` when this System's geometry differs
-    /// from `config` (the per-node scratch buffers would not fit the
-    /// restored state); callers fall back to a full `reset`.
-    pub fn prepare_fork_target(&mut self, config: &SystemConfig) -> bool {
-        let nodes_n = config.nodes();
-        let same_geometry = nodes_n == self.nodes.len() as u16
-            && config.mesh == self.config.mesh
-            && config.noc == self.config.noc
-            && config.l1 == self.config.l1
-            && config.dir == self.config.dir;
-        if !same_geometry {
-            return false;
-        }
-        self.tracer = Tracer::off();
-        self.telemetry = None;
-        self.trace_mask = ChannelMask::NONE;
-        self.snapshot_every = 0;
-        self.next_snapshot_at = 0;
-        self.snapshot_ring.clear();
-        self.events_dispatched = 0;
-        self.peak_queue_depth = 0;
-        self.host_wall_secs = 0.0;
-        self.run_threads = 1;
-        self.skipped_net_cycles = 0;
-        self.par_waves = 0;
-        self.par_busy_ns = 0;
-        self.par_span_ns = 0;
-        self.wave_seen.fill(false);
-        self.obs_sample_every = None;
-        self.obs_sampler = None;
-        true
-    }
-
     /// Set the intra-run worker count for subsequent runs. `1` (the
     /// default) is exactly today's serial loop; `n > 1` runs each cycle's
     /// independent events on a persistent pool of `n` threads (capped at
@@ -641,127 +576,6 @@ impl System {
         // The restored nodes carry capture-time trace masks; the installed
         // sinks are authoritative.
         self.recompute_trace_masks();
-    }
-
-    /// Materialize a mechanism cell from a mechanism-neutral prefix
-    /// snapshot (see [`System::run_prefix`]): rewind the simulated state to
-    /// `snap`, then swap in freshly constructed mechanism-specific state —
-    /// HTM units, backoff engines, TxLB, commit latency, notification
-    /// flags, and the directory-side predictors — exactly as
-    /// `System::new_shared(config, ..)` would build them. Valid because the
-    /// prefix ends before the first TX_BEGIN: no request has carried
-    /// transactional metadata yet, so the predictors, backoff RNGs, and HTM
-    /// history are still in their fresh-constructed state on every
-    /// mechanism, and replacing them with the target mechanism's fresh
-    /// state reproduces a straight-line run bit for bit (gated by
-    /// `tests/prefix_fork.rs` and the golden suite).
-    ///
-    /// Panics if `config` differs from the snapshot's configuration on any
-    /// axis other than the mechanism (see [`fork_compatible`]) — such a
-    /// snapshot describes a different machine or workload.
-    pub fn fork_from(&mut self, snap: &SystemSnapshot, config: SystemConfig) {
-        assert!(
-            fork_compatible(&snap.state.config, &config),
-            "fork_from: target config differs from the snapshot beyond the mechanism axis"
-        );
-        self.restore(snap);
-        if config.mechanism != self.config.mechanism {
-            let nodes_n = self.nodes.len() as u16;
-            // Same derivation as `new_shared`: mechanism-specific per-node
-            // state is seeded from the run's root RNG, which no pre-begin
-            // event has drawn from.
-            let root_rng = SimRng::new(self.seed);
-            for i in 0..nodes_n {
-                let rmw = config
-                    .mechanism
-                    .uses_rmw_predictor()
-                    .then(RmwPredictor::paper);
-                let node = &mut self.nodes[i as usize];
-                node.adopt_mechanism(
-                    config.abort_timing,
-                    rmw,
-                    TxLengthBuffer::new(config.puno.txlb_entries),
-                    BackoffEngine::new(
-                        config.mechanism.backoff_kind(),
-                        config.backoff,
-                        root_rng.derive(0xB0FF ^ i as u64),
-                    ),
-                    config.commit_latency,
-                    config.mechanism.uses_puno() && config.puno.notification_enabled,
-                    config.mechanism.uses_puno() && config.puno.wakeup_hints,
-                );
-                if let Some(sig_cfg) = config.signatures {
-                    node.htm.enable_signatures(sig_cfg);
-                }
-            }
-            let mut puno_cfg = config.puno;
-            puno_cfg.pbuffer_entries = nodes_n as usize;
-            for p in &mut self.predictors {
-                *p = if config.mechanism.uses_puno() {
-                    PredictorImpl::Puno(Box::new(PunoPredictor::new(puno_cfg)))
-                } else {
-                    PredictorImpl::Null(NullPredictor)
-                };
-            }
-            self.config = config;
-            // The restored nodes carry the snapshot's trace masks; the
-            // installed sinks are authoritative (same rule as `restore`).
-            self.recompute_trace_masks();
-        }
-    }
-
-    /// Run the mechanism-neutral prefix of this cell: the serial loop up to
-    /// (not including) the cycle sub-batch in which some node would issue
-    /// its first TX_BEGIN, or up to the `cap` override — whichever comes
-    /// first (the cap can only shorten the prefix; a fork point past the
-    /// first begin would not be mechanism-neutral). Stops only between
-    /// events, so [`System::snapshot`] is valid at the boundary and
-    /// [`System::fork_from`] + `try_run_recycled` reproduces a straight-
-    /// line run exactly. Always serial regardless of
-    /// [`System::set_run_threads`], so the fork cycle is identical on every
-    /// host.
-    pub fn run_prefix(&mut self, cap: Option<Cycle>) -> Result<PrefixStop, RunError> {
-        let t0 = std::time::Instant::now();
-        let result = self.run_prefix_inner(cap);
-        self.host_wall_secs += t0.elapsed().as_secs_f64();
-        result
-    }
-
-    fn run_prefix_inner(&mut self, cap: Option<Cycle>) -> Result<PrefixStop, RunError> {
-        let mut batch: Vec<Event> = Vec::with_capacity(2 * self.nodes.len());
-        loop {
-            if self.nodes_done >= self.nodes.len() {
-                return Ok(PrefixStop::Completed);
-            }
-            // Checked before every pop (a mid-cycle schedule lands at a
-            // later seq and is popped by the *next* `pop_cycle_into`), so
-            // the stop lands on the exact sub-batch boundary preceding the
-            // first begin.
-            if self.nodes.iter().any(NodeState::poised_to_begin) {
-                return Ok(PrefixStop::Armed {
-                    cycle: self.last_cycle,
-                });
-            }
-            if cap.is_some_and(|c| self.last_cycle >= c) {
-                return Ok(PrefixStop::Armed {
-                    cycle: self.last_cycle,
-                });
-            }
-            let popped = self.pop_guarded(|q| q.pop_cycle_into(&mut batch).map(|now| (now, ())))?;
-            let Some((now, ())) = popped else {
-                return Err(self.deadlock_error());
-            };
-            for event in batch.drain(..) {
-                if self.nodes_done >= self.nodes.len() {
-                    break;
-                }
-                self.events_dispatched += 1;
-                self.dispatch_event(now, event);
-            }
-            if self.snapshot_every > 0 && now >= self.next_snapshot_at {
-                self.capture_ring_snapshot(now);
-            }
-        }
     }
 
     /// Arm (or, with 0, disarm) periodic ring snapshots: the run loop

@@ -66,6 +66,8 @@ pub struct WarehouseRow {
     pub wall_secs: f64,
     pub sim_cycles_per_sec: f64,
     pub events_per_sec: f64,
+    /// Always 0, like `HostPerf::prefix_forks`; kept so schema-v1 rows
+    /// stay readable.
     pub prefix_forks: u64,
     /// Always 0, like `HostPerf::express_packets`; kept so schema-v1 rows
     /// stay readable.

@@ -10,10 +10,12 @@
 //! the same cache directory, and compares every cell byte-for-byte against
 //! the committed golden snapshots — which are produced by fresh
 //! single-cell runs. Any divergence between fresh construction, recycling,
-//! or cached replay fails here.
+//! or cached replay fails here. It also pins that the ignored
+//! `SweepOptions::prefix_fork` field leaves every outcome unchanged.
 
 use puno_harness::sweep::{try_sweep, CellOutcome, SweepOptions};
-use puno_harness::{Mechanism, ResultCache};
+use puno_harness::{Mechanism, ResultCache, System, SystemConfig};
+use puno_sim::FaultPlan;
 use puno_workloads::WorkloadId;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -83,6 +85,24 @@ fn sweep_engine_paths_are_bit_identical_to_fresh_runs() {
     assert_eq!(stats.hits, 16, "warm sweep must hit every cell");
     assert_eq!(stats.stores, 0, "warm sweep must not re-store");
 
+    // `prefix_fork` is an ignored field (prefix-fork execution is retired):
+    // an uncached sweep with it set must match the cold sweep above, and
+    // the retired prefix counters must stay 0 on both.
+    let mut fork_opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    fork_opts.result_cache = None;
+    fork_opts.prefix_fork = true;
+    let forked = try_sweep(&WorkloadId::ALL, &MECHANISMS, &fork_opts);
+    assert_outcomes_match_golden(&forked, "prefix_fork=true sweep");
+    for o in cold.iter().chain(&forked) {
+        let host = &o.metrics().unwrap().host;
+        assert_eq!(
+            (host.prefix_forks, host.prefix_cycles_shared),
+            (0, 0),
+            "the retired prefix counters must stay 0",
+        );
+        assert_eq!(host.prefix_time_saved, 0.0);
+    }
+
     // The replayed metrics carry the cold run's host block verbatim (minus
     // the worker stamp applied per sweep): the full records, not just the
     // deterministic views, round-trip.
@@ -97,4 +117,32 @@ fn sweep_engine_paths_are_bit_identical_to_fresh_runs() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sweep with a fault plan arms it in every cell, on a recycled worker
+/// `System`, and must match a fresh `System` with the same plan armed.
+#[test]
+fn faulted_sweep_cells_match_fresh_faulted_runs() {
+    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    opts.result_cache = None;
+    opts.fault_plan = FaultPlan::background(7, 1.0);
+    let outcomes = try_sweep(&[WorkloadId::Ssca2], &Mechanism::ALL, &opts);
+    let params = WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE);
+    for (outcome, &mechanism) in outcomes.iter().zip(&Mechanism::ALL) {
+        let swept = outcome
+            .metrics()
+            .unwrap_or_else(|| panic!("{mechanism:?}: faulted sweep cell failed"));
+        assert!(
+            swept.faults.total() > 0,
+            "{mechanism:?}: the plan must fire"
+        );
+        let mut sys = System::new(SystemConfig::paper(mechanism), &params, GOLDEN_SEED);
+        sys.set_fault_plan(opts.fault_plan.clone());
+        let fresh = sys.try_run().expect("faulted fresh run completes");
+        assert_eq!(
+            serde_json::to_string(&swept.deterministic()).unwrap(),
+            serde_json::to_string(&fresh.deterministic()).unwrap(),
+            "{mechanism:?}: faulted sweep cell diverged from a fresh faulted run",
+        );
+    }
 }

@@ -129,28 +129,6 @@ grep -q "parallel: 4 run thread(s)" "$RES_DIR/run4.txt" \
     || { echo "serial sweep unexpectedly reported pool activity"; exit 1; }
 echo "parallel smoke OK (serial and 4-thread sweeps byte-identical)"
 
-echo "== prefix-fork smoke (golden sweep, fork-off vs fork-on) =="
-# Prefix-fork execution runs each (workload, seed) group's mechanism-neutral
-# prefix once and forks every sibling cell from the snapshot. The full
-# golden sweep must be byte-identical fork-on vs fork-off in everything
-# deterministic (all rows above the host-perf section); only the host
-# section may differ — fork-on honestly reports the sharing it did. With 8
-# workloads x 4 mechanisms and one prefix runner per group, exactly 24
-# cells must fork.
-PUNO_PREFIX_FORK=0 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/fork0.txt" 2> /dev/null
-PUNO_PREFIX_FORK=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/fork1.txt" 2> /dev/null
-sed '/^simulator throughput/,$d' "$RES_DIR/fork0.txt" > "$RES_DIR/fork0.det.txt"
-sed '/^simulator throughput/,$d' "$RES_DIR/fork1.txt" > "$RES_DIR/fork1.det.txt"
-diff "$RES_DIR/fork0.det.txt" "$RES_DIR/fork1.det.txt" \
-    || { echo "prefix-fork sweep diverged from straight-line execution"; exit 1; }
-grep -q "prefix-fork: 24 forked cell(s)" "$RES_DIR/fork1.txt" \
-    || { echo "fork-on sweep did not fork every non-runner cell"; exit 1; }
-! grep -q "prefix-fork:" "$RES_DIR/fork0.txt" \
-    || { echo "fork-off sweep unexpectedly reported prefix sharing"; exit 1; }
-echo "prefix-fork smoke OK (fork-on and fork-off sweeps byte-identical, 24 cells forked)"
-
 echo "== traced smoke (one cell, JSONL schema + Chrome export) =="
 # Re-run one sweep cell fully traced: every JSONL line must parse as a
 # trace record within the requested channel filter, and the Chrome-trace
@@ -161,6 +139,15 @@ PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_TRACE="htm,coh,noc" PUNO_TRACE_OUT="$CACHE_D
     --trace ssca2:baseline > "$CACHE_DIR/traced.txt"
 TRACE_JSONL="$CACHE_DIR/trace_ssca2_baseline_s1.jsonl"
 [ -s "$TRACE_JSONL" ] || { echo "traced cell produced no JSONL stream"; exit 1; }
+# The stream starts at cycle 0: it must hold the pre-transaction warm-up,
+# i.e. records from cycles before the first tx_begin (HtmBegin) record.
+record_cycle() { sed -E 's/^\{"cycle":([0-9]+),.*/\1/'; }
+FIRST_CYCLE="$(head -n 1 "$TRACE_JSONL" | record_cycle)"
+BEGIN_CYCLE="$(grep -m 1 '"HtmBegin"' "$TRACE_JSONL" | record_cycle)"
+[[ "$FIRST_CYCLE" =~ ^[0-9]+$ && "$BEGIN_CYCLE" =~ ^[0-9]+$ ]] \
+    || { echo "cannot read the first record or first tx_begin cycle"; exit 1; }
+[ "$FIRST_CYCLE" -lt "$BEGIN_CYCLE" ] \
+    || { echo "trace holds no records before the first tx_begin (cycle $BEGIN_CYCLE)"; exit 1; }
 cargo run --offline --release -q -p puno-harness --bin trace_export -- \
     "$TRACE_JSONL" --validate --channels htm,coh,noc
 cargo run --offline --release -q -p puno-harness --bin trace_export -- \
@@ -168,7 +155,7 @@ cargo run --offline --release -q -p puno-harness --bin trace_export -- \
 [ -s "$CACHE_DIR/trace.chrome.json" ] || { echo "Chrome export is empty"; exit 1; }
 grep -q "abort blame" "$CACHE_DIR/traced.txt" \
     || { echo "traced cell printed no telemetry summary"; exit 1; }
-echo "traced smoke OK"
+echo "traced smoke OK (stream starts at cycle $FIRST_CYCLE, first tx_begin at $BEGIN_CYCLE)"
 
 echo "== observability smoke (mid-flight scrape, heartbeat, warehouse, byte-diff) =="
 # A metrics-enabled sweep must serve valid Prometheus exposition text while
