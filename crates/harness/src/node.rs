@@ -347,14 +347,16 @@ impl NodeState {
             };
         }
 
-        // Clone the small bits we need to dodge aliasing the program while
-        // mutating the node.
-        match self.program.items[self.pc].clone() {
+        // Hold our own handle on the shared program so the current item can
+        // be borrowed while the node mutates itself (a refcount bump, not a
+        // copy of the item's op list).
+        let program = Arc::clone(&self.program);
+        match &program.items[self.pc] {
             WorkItem::Think(c) => {
                 self.pc += 1;
                 Effects::default().wake(now + c)
             }
-            WorkItem::Access { addr, is_write } => self.access(
+            &WorkItem::Access { addr, is_write } => self.access(
                 now,
                 addr,
                 is_write,
@@ -365,7 +367,7 @@ impl NodeState {
                 },
                 memory,
             ),
-            WorkItem::Transaction(spec) => self.step_transaction(now, &spec, memory),
+            WorkItem::Transaction(spec) => self.step_transaction(now, spec, memory),
         }
     }
 

@@ -19,6 +19,7 @@
 //! * **Deterministic arbitration.** Round-robin per output port, ties broken
 //!   by port index, so whole-system runs are bit-reproducible.
 
+mod calendar;
 pub mod latency;
 pub mod linkstats;
 pub mod network;

@@ -1,9 +1,16 @@
 //! The network: routers wired into a mesh, injection interfaces, the per-cycle
 //! step function, and delivery of ejected packets.
+//!
+//! Storage: a packet enters a network-owned slab at `inject` and stays in
+//! its slot until delivery. NI queues, router FIFO rings and in-flight
+//! ejections hold only the 4-byte slot index, so a hop moves an index, and
+//! the slot's `Hop` record carries the packet's per-router arbitration
+//! state. A `WakeCalendar` files every occupied router at its wake cycle.
 
+use crate::calendar::WakeCalendar;
 use crate::packet::{Packet, VirtualNetwork};
-use crate::router::Router;
-use crate::topology::{Mesh, Port};
+use crate::router::{fifo_index, Head, Hop, Router, FIFOS, RING_SLOTS};
+use crate::topology::{xy_port, Mesh, Port};
 use crate::traffic::TrafficStats;
 use puno_sim::{Cycle, Cycles, NodeId};
 use serde::{Deserialize, Serialize};
@@ -14,7 +21,8 @@ use std::collections::VecDeque;
 pub struct NocConfig {
     /// Router pipeline depth in cycles; the last stage is link traversal.
     pub pipeline_depth: u32,
-    /// Input buffer capacity per (port, vnet), in flits.
+    /// Input buffer capacity per (port, vnet), in flits: from
+    /// [`crate::DATA_FLITS`] to [`crate::router::RING_SLOTS`].
     pub buffer_flits: u32,
 }
 
@@ -28,10 +36,10 @@ impl Default for NocConfig {
 }
 
 #[derive(Clone)]
-struct PendingDelivery<P> {
+struct PendingDelivery {
     due: Cycle,
     node: NodeId,
-    packet: Packet<P>,
+    slot: u32,
 }
 
 /// The on-chip network. Payload type `P` is opaque freight.
@@ -39,33 +47,35 @@ struct PendingDelivery<P> {
 pub struct Network<P> {
     mesh: Mesh,
     config: NocConfig,
-    routers: Vec<Router<P>>,
+    routers: Vec<Router>,
     /// `neighbors[r][port]`: the router behind each output port of router
     /// `r` (unused for `Local` and for ports off the mesh edge, which XY
     /// routing never picks).
     neighbors: Vec<[u16; 5]>,
-    /// Per-node, per-vnet unbounded injection queues (the NI). Packets wait
-    /// here until the local input buffer has space — injection backpressure
-    /// without loss.
-    inject_queues: Vec<Vec<VecDeque<Packet<P>>>>,
+    /// `coords[r]`: router `r`'s mesh coordinates, for XY routing.
+    coords: Vec<(u16, u16)>,
+    /// The slab: per slot, the packet's routing record and the packet.
+    hops: Vec<Hop>,
+    packets: Vec<Option<Packet<P>>>,
+    /// Slab slots free for reuse.
+    free: Vec<u32>,
+    /// Per-(node, vnet) unbounded injection queues (the NI), indexed
+    /// `node * VirtualNetwork::COUNT + vnet`. Packets wait here until the
+    /// local input buffer has space — injection backpressure without loss.
+    inject_queues: Vec<VecDeque<u32>>,
+    /// Routers with a non-empty NI queue, as a bitmask (bit `r % 64` of
+    /// word `r / 64`).
+    ni_pending: Vec<u64>,
+    /// Every router holding a buffered packet, filed at its wake cycle.
+    calendar: WakeCalendar,
+    /// Reused per-step walk mask: due and NI-pending routers.
+    walk: Vec<u64>,
     /// Ejections in flight (tail flit still crossing into the NI).
-    deliveries: Vec<PendingDelivery<P>>,
+    deliveries: Vec<PendingDelivery>,
     stats: TrafficStats,
     link_stats: crate::linkstats::LinkStats,
     next_packet_id: u64,
     in_network: usize,
-    /// Occupancy: packets waiting in each router's NI injection queues.
-    inject_pending: Vec<u32>,
-    /// Occupancy: packets resident in each router's input buffers.
-    resident: Vec<u32>,
-    /// Routers with any buffered or injection-pending packet, as a bitmask
-    /// (bit `r % 64` of word `r / 64`) — per-cycle work visits only these,
-    /// and iterating set bits in ascending index order makes the active-set
-    /// walk bit-identical to the full 0..n scan it replaces (see
-    /// `step_into`'s determinism note).
-    active: Vec<u64>,
-    /// Reused snapshot of `active` for the per-cycle walks.
-    scratch_active: Vec<u64>,
     /// Lower bound on the next cycle at which a step can change any state;
     /// see [`Network::next_wake`].
     wake_hint: Cycle,
@@ -82,6 +92,11 @@ impl<P> Network<P> {
             config.buffer_flits >= crate::packet::DATA_FLITS,
             "buffers must fit a data packet"
         );
+        assert!(
+            config.buffer_flits as usize <= RING_SLOTS,
+            "buffer_flits {} exceeds the FIFO ring capacity of {RING_SLOTS} packets",
+            config.buffer_flits
+        );
         let n = mesh.nodes();
         let neighbors = (0..n)
             .map(|r| {
@@ -94,24 +109,21 @@ impl<P> Network<P> {
         Self {
             mesh,
             config,
-            routers: (0..n).map(|_| Router::new()).collect(),
+            routers: vec![Router::new(); n],
             neighbors,
-            inject_queues: (0..n)
-                .map(|_| {
-                    (0..VirtualNetwork::COUNT)
-                        .map(|_| VecDeque::new())
-                        .collect()
-                })
-                .collect(),
+            coords: (0..n).map(|r| mesh.coords(NodeId(r as u16))).collect(),
+            hops: Vec::new(),
+            packets: Vec::new(),
+            free: Vec::new(),
+            inject_queues: vec![VecDeque::new(); n * VirtualNetwork::COUNT],
+            ni_pending: vec![0; n.div_ceil(64)],
+            calendar: WakeCalendar::new(n),
+            walk: Vec::with_capacity(n.div_ceil(64)),
             deliveries: Vec::new(),
             stats: TrafficStats::default(),
             link_stats: crate::linkstats::LinkStats::new(mesh),
             next_packet_id: 0,
             in_network: 0,
-            inject_pending: vec![0; n],
-            resident: vec![0; n],
-            active: vec![0; n.div_ceil(64)],
-            scratch_active: Vec::with_capacity(n.div_ceil(64)),
             wake_hint: Cycle::MAX,
             scan_visits: 0,
             scan_steps: 0,
@@ -124,60 +136,23 @@ impl<P> Network<P> {
     /// network is bit-identical in behaviour to `Network::new(mesh, config)`:
     /// every field the constructor initializes is restored here.
     pub fn reset(&mut self) {
-        for router in &mut self.routers {
-            router.reset();
+        self.routers.fill(Router::new());
+        self.hops.clear();
+        self.packets.clear();
+        self.free.clear();
+        for q in &mut self.inject_queues {
+            q.clear();
         }
-        for per_node in &mut self.inject_queues {
-            for q in per_node {
-                q.clear();
-            }
-        }
+        self.ni_pending.fill(0);
+        self.calendar.reset();
         self.deliveries.clear();
         self.stats = TrafficStats::default();
         self.link_stats.reset();
         self.next_packet_id = 0;
         self.in_network = 0;
-        self.inject_pending.fill(0);
-        self.resident.fill(0);
-        self.active.fill(0);
-        self.scratch_active.clear();
         self.wake_hint = Cycle::MAX;
         self.scan_visits = 0;
         self.scan_steps = 0;
-    }
-
-    /// Re-evaluate router `r`'s membership in the active set after an
-    /// occupancy change.
-    #[inline]
-    fn note_occupancy(&mut self, r: usize) {
-        if self.inject_pending[r] == 0 && self.resident[r] == 0 {
-            self.active[r / 64] &= !(1u64 << (r % 64));
-        } else {
-            self.active[r / 64] |= 1u64 << (r % 64);
-        }
-    }
-
-    #[inline]
-    fn mark_active(&mut self, r: usize) {
-        self.active[r / 64] |= 1u64 << (r % 64);
-    }
-
-    /// Take the reusable walk buffer filled with a snapshot of the current
-    /// active set. Walking a snapshot (not `self.active` itself) keeps each
-    /// per-cycle pass bit-identical to the full `0..n` scan even as the pass
-    /// mutates the live set; hand the buffer back via
-    /// [`Network::put_active_snapshot`] when the walk is done.
-    #[inline]
-    fn take_active_snapshot(&mut self) -> Vec<u64> {
-        let mut snapshot = std::mem::take(&mut self.scratch_active);
-        snapshot.clear();
-        snapshot.extend_from_slice(&self.active);
-        snapshot
-    }
-
-    #[inline]
-    fn put_active_snapshot(&mut self, snapshot: Vec<u64>) {
-        self.scratch_active = snapshot;
     }
 
     /// Fraction of (router x step) slots arbitration actually visited; 1.0
@@ -214,11 +189,11 @@ impl<P> Network<P> {
     }
 
     /// Earliest cycle after the last step at which [`Network::step_into`]
-    /// can change any state: the minimum of every occupied router's
-    /// `wake_at`, every pending ejection's due cycle, and `now + 1` while
-    /// an NI queue may drain (after an injection at `now`, or after a
-    /// local-port win freed buffer space behind an NI backlog), clamped to
-    /// at least one past the last step. `Cycle::MAX` when idle.
+    /// can change any state: the minimum of every occupied router's filed
+    /// wake, every pending ejection's due cycle, and `now + 1` while an NI
+    /// queue can drain (after an injection at `now`, or once a local-port
+    /// win freed room for the head of an NI backlog), clamped to at least
+    /// one past the last step. `Cycle::MAX` when idle.
     ///
     /// Valid between steps. Stepping any cycle before it is an exact no-op
     /// — no drain, no traversal, no delivery, no arbitration state touched
@@ -230,14 +205,11 @@ impl<P> Network<P> {
         self.wake_hint
     }
 
-    /// Packets currently buffered inside routers (diagnostics).
-    pub fn resident_packets(&self) -> usize {
-        self.routers.iter().map(|r| r.resident_packets()).sum()
-    }
-
-    /// Routers currently in the active (occupied) set (diagnostics/tests).
+    /// Routers holding a buffered or NI-queued packet (diagnostics/tests).
     pub fn active_router_count(&self) -> usize {
-        self.active.iter().map(|w| w.count_ones() as usize).sum()
+        (0..self.routers.len())
+            .filter(|&r| self.routers[r].occupancy != 0 || self.ni_pending[r / 64] & bit(r) != 0)
+            .count()
     }
 
     /// Fault-injection hook: hold every output link of `node`'s router busy
@@ -274,12 +246,32 @@ impl<P> Network<P> {
             injected_at: now,
             payload,
         };
+        let hop = Hop {
+            head: Head {
+                ready_at: now,
+                out: Port::Local,
+                flits,
+            },
+            dst: self.coords[dst.index()],
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.hops[slot as usize] = hop;
+                self.packets[slot as usize] = Some(packet);
+                slot
+            }
+            None => {
+                self.hops.push(hop);
+                self.packets.push(Some(packet));
+                (self.hops.len() - 1) as u32
+            }
+        };
         self.next_packet_id += 1;
         self.stats.record_injection(vnet, flits);
         self.in_network += 1;
-        self.inject_queues[src.index()][vnet.index()].push_back(packet);
-        self.inject_pending[src.index()] += 1;
-        self.mark_active(src.index());
+        let r = src.index();
+        self.inject_queues[r * VirtualNetwork::COUNT + vnet.index()].push_back(slot);
+        self.ni_pending[r / 64] |= bit(r);
         // A step at `now` (if still to come) drains it and recomputes the
         // hint; otherwise the step at `now + 1` must not be skipped.
         self.wake_hint = self.wake_hint.min(now + 1);
@@ -299,15 +291,15 @@ impl<P> Network<P> {
     /// Advance the network one cycle, appending this cycle's deliveries to
     /// `out` (cleared first) in deterministic order.
     ///
-    /// Work is proportional to *eligible* work, not machine size: injection
-    /// drain walks only the routers in the active set (buffered or
-    /// injection-pending packets), and switch allocation only those whose
-    /// `wake_at` has arrived, both in ascending router-index order. That
-    /// order makes the walk bit-identical to the full `0..n` scan it
-    /// replaces: a skipped router has no head-of-line packet that could win
-    /// this cycle, so the full scan would touch neither its round-robin
-    /// pointers nor its links — skipping it changes no state and no
-    /// arbitration outcome.
+    /// Work is proportional to *eligible* work, not machine size: the step
+    /// walks only the routers the calendar files as due by `now` and those
+    /// with an NI backlog, in ascending router-index order, draining each
+    /// one's NI queues and then running its switch allocation if its
+    /// `wake_at` has arrived. That order makes the walk bit-identical to
+    /// the full `0..n` scan it replaces: a skipped router has no
+    /// head-of-line packet that could win this cycle, so the full scan
+    /// would touch neither its round-robin pointers nor its links —
+    /// skipping it changes no state and no arbitration outcome.
     pub fn step_into(&mut self, now: Cycle, out: &mut Vec<(NodeId, P)>) {
         out.clear();
         self.wake_hint = Cycle::MAX;
@@ -315,46 +307,58 @@ impl<P> Network<P> {
             return;
         }
         self.scan_steps += 1;
-        // One ascending walk over a snapshot of the active set drains each
-        // router's NI queues and then runs its switch allocation. Draining
-        // router `r` just before its own allocation, instead of draining
-        // every router first, changes nothing: a drain touches only `r`'s
-        // local input FIFOs, which no other router's allocation reads
-        // (credit checks read a neighbour's mesh-side inputs). Routers that
-        // only *become* active mid-walk (receiving a forwarded packet) need
-        // no visit: the packet's ready_at is in the future, so the full scan
-        // would have found no eligible candidate there either.
-        let snapshot = self.take_active_snapshot();
-        for (word_idx, &word) in snapshot.iter().enumerate() {
+        // Draining router `r` just before its own allocation, instead of
+        // draining every router first, changes nothing: a drain touches
+        // only `r`'s local input FIFOs, which no other router's allocation
+        // reads (credit checks read a neighbour's mesh-side inputs).
+        // Routers that another router's grant feeds mid-walk need no visit
+        // this cycle: the packet's ready_at is in the future, so the full
+        // scan would have found no eligible candidate there either.
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clone_from(&self.ni_pending);
+        self.calendar.take_due(now, &mut walk);
+        for (word_idx, &word) in walk.iter().enumerate() {
             let mut bits = word; // ascending router index: low bits first
             while bits != 0 {
                 let r = word_idx * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.inject_pending[r] > 0 {
+                if self.ni_pending[word_idx] & bit(r) != 0 {
                     self.drain_injection_queues(r, now);
                 }
-                if self.resident[r] == 0 {
+                if self.routers[r].occupancy == 0 {
                     continue; // injection-queue backlog only
                 }
                 if self.routers[r].wake_at <= now {
                     self.scan_visits += 1;
                     self.visit(r, now);
-                    self.note_occupancy(r);
                 }
-                if self.resident[r] > 0 {
-                    self.wake_hint = self.wake_hint.min(self.routers[r].wake_at);
+                match self.routers[r].occupancy {
+                    0 => self.calendar.unfile(r),
+                    // A credit-blocked head keeps `wake_at` at or before
+                    // `now`: such a router is due again next cycle.
+                    _ => self.calendar.file(r, self.routers[r].wake_at.max(now + 1)),
                 }
             }
         }
-        self.put_active_snapshot(snapshot);
+        self.walk = walk;
         self.collect_deliveries_into(now, out);
-        // A credit-blocked head keeps its router's wake at or before `now`:
-        // the next step is then simply the next cycle.
-        self.wake_hint = self.wake_hint.max(now + 1);
+        self.wake_hint = self.wake_hint.min(self.calendar.earliest()).max(now + 1);
         // swap_remove disturbs order; restore determinism by destination
         // (at most one ejection can complete per node per cycle — the local
         // link serializes them — so the node index is a total key).
         out.sort_by_key(|(node, _)| node.0);
+    }
+
+    /// Whether router `r`'s NI queue for `vnet` holds a packet that fits in
+    /// the local input buffer right now.
+    #[inline]
+    fn ni_head_fits(&self, r: usize, vnet: usize) -> bool {
+        self.inject_queues[r * VirtualNetwork::COUNT + vnet]
+            .front()
+            .is_some_and(|&slot| {
+                let used = self.routers[r].flits[fifo_index(Port::Local, vnet)];
+                used + self.hops[slot as usize].head.flits <= self.config.buffer_flits
+            })
     }
 
     /// Move packets from router `r`'s NI injection queues into its local
@@ -362,19 +366,20 @@ impl<P> Network<P> {
     /// for this router.
     fn drain_injection_queues(&mut self, r: usize, now: Cycle) {
         let ready_at = now + self.config.pipeline_depth as Cycle - 1;
-        let here = NodeId(r as u16);
-        for vnet_idx in 0..VirtualNetwork::COUNT {
-            while let Some(front) = self.inject_queues[r][vnet_idx].front() {
-                let buf = self.routers[r].buffer(Port::Local, front.vnet);
-                if buf.free_flits(self.config.buffer_flits) < front.flits {
-                    break;
-                }
-                let packet = self.inject_queues[r][vnet_idx].pop_front().unwrap();
-                let out = self.mesh.route_xy(here, packet.dst);
-                self.routers[r].accept(Port::Local, packet.vnet, ready_at, out, packet);
-                self.inject_pending[r] -= 1;
-                self.resident[r] += 1;
+        let mut backlog = false;
+        for vnet in 0..VirtualNetwork::COUNT {
+            while self.ni_head_fits(r, vnet) {
+                let q = &mut self.inject_queues[r * VirtualNetwork::COUNT + vnet];
+                let slot = q.pop_front().expect("ni_head_fits saw a head");
+                let hop = &mut self.hops[slot as usize];
+                hop.head.ready_at = ready_at;
+                hop.head.out = xy_port(self.coords[r], hop.dst);
+                self.routers[r].accept(fifo_index(Port::Local, vnet), slot, hop.head);
             }
+            backlog |= !self.inject_queues[r * VirtualNetwork::COUNT + vnet].is_empty();
+        }
+        if !backlog {
+            self.ni_pending[r / 64] &= !bit(r);
         }
     }
 
@@ -388,7 +393,6 @@ impl<P> Network<P> {
     /// once — a later port may still take it this cycle, exactly as the
     /// per-port rescan of every head did.
     fn visit(&mut self, r: usize, now: Cycle) {
-        const CANDIDATES: usize = 5 * VirtualNetwork::COUNT;
         let mut eligible = [0u16; 5];
         {
             let router = &self.routers[r];
@@ -396,13 +400,14 @@ impl<P> Network<P> {
             while occ != 0 {
                 let idx = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
-                let head = router.head(idx);
+                let head = router.head[idx];
                 if head.ready_at <= now {
                     eligible[head.out.index()] |= 1 << idx;
                 }
             }
         }
         let here = NodeId(r as u16);
+        let cap = self.config.buffer_flits;
         for out_port in Port::ALL {
             let o = out_port.index();
             if eligible[o] == 0 || self.routers[r].link_busy_until[o] > now {
@@ -422,12 +427,10 @@ impl<P> Network<P> {
                     // Check downstream space (credit): ejection always has
                     // room (NI sinks immediately).
                     if out_port != Port::Local {
-                        let flits = self.routers[r].head(idx).packet.flits;
-                        let downstream = opposite(out_port).index() * VirtualNetwork::COUNT
-                            + idx % VirtualNetwork::COUNT;
-                        let free = self.routers[next].inputs[downstream]
-                            .free_flits(self.config.buffer_flits);
-                        if free < flits {
+                        let downstream =
+                            fifo_index(opposite(out_port), idx % VirtualNetwork::COUNT);
+                        let used = self.routers[next].flits[downstream];
+                        if used + self.routers[r].head[idx].flits > cap {
                             continue;
                         }
                     }
@@ -438,47 +441,44 @@ impl<P> Network<P> {
             let Some(idx) = winner else {
                 continue;
             };
-            let in_port = idx / VirtualNetwork::COUNT;
+            let vnet = idx % VirtualNetwork::COUNT;
             // Dequeue the winner, exposing the FIFO's next head.
-            let packet = {
-                let router = &mut self.routers[r];
-                router.rr_pointer[o] = (idx + 1) % CANDIDATES;
-                let buf = &mut router.inputs[idx];
-                let bp = buf.queue.pop_front().unwrap();
-                buf.occupied_flits -= bp.packet.flits;
-                match buf.queue.front() {
-                    None => router.occupancy &= !(1u16 << idx),
-                    Some(head) if head.ready_at <= now => eligible[head.out.index()] |= 1 << idx,
-                    Some(_) => {}
-                }
-                bp.packet
-            };
-            let flits = packet.flits;
+            let router = &mut self.routers[r];
+            router.rr_pointer[o] = ((idx + 1) % FIFOS) as u8;
+            let flits = router.head[idx].flits;
+            let slot = router.pop(idx, &self.hops);
+            if router.occupancy & (1 << idx) != 0 && router.head[idx].ready_at <= now {
+                eligible[router.head[idx].out.index()] |= 1 << idx;
+            }
+            router.link_busy_until[o] = now + flits as Cycle;
             // The Figure 11 metric: every flit leaving a router crossbar is
             // one router traversal.
-            self.stats.record_traversal(packet.vnet, flits);
+            self.stats
+                .record_traversal(VirtualNetwork::ALL[vnet], flits);
             self.link_stats.record(here, out_port, flits);
-            self.routers[r].link_busy_until[o] = now + flits as Cycle;
-            self.resident[r] -= 1;
-            if in_port == Port::Local.index() && self.inject_pending[r] > 0 {
-                // Local buffer space freed behind an NI backlog: the next
-                // cycle's drain may move it.
+            if idx < VirtualNetwork::COUNT && self.ni_head_fits(r, vnet) {
+                // Local buffer space freed in front of an NI backlog: the
+                // next cycle's drain moves it.
                 self.wake_hint = self.wake_hint.min(now + 1);
             }
             if out_port == Port::Local {
                 self.deliveries.push(PendingDelivery {
                     due: now + flits as Cycle,
                     node: here,
-                    packet,
+                    slot,
                 });
             } else {
-                let ready_at = now + flits as Cycle + self.config.pipeline_depth as Cycle - 1;
-                let route = self.mesh.route_xy(NodeId(next as u16), packet.dst);
-                let vnet = packet.vnet;
-                self.routers[next].accept(opposite(out_port), vnet, ready_at, route, packet);
-                self.resident[next] += 1;
-                self.mark_active(next);
-                self.wake_hint = self.wake_hint.min(self.routers[next].wake_at);
+                let hop = &mut self.hops[slot as usize];
+                hop.head.ready_at = now + flits as Cycle + self.config.pipeline_depth as Cycle - 1;
+                hop.head.out = xy_port(self.coords[next], hop.dst);
+                let downstream = &mut self.routers[next];
+                let before = downstream.wake_at;
+                downstream.accept(fifo_index(opposite(out_port), vnet), slot, hop.head);
+                // A forwarded head is still in the pipeline, so a lowered
+                // wake lies after `now`.
+                if downstream.wake_at < before {
+                    self.calendar.file(next, downstream.wake_at);
+                }
             }
         }
         self.routers[r].refresh_wake();
@@ -490,15 +490,24 @@ impl<P> Network<P> {
             let due = self.deliveries[i].due;
             if due <= now {
                 let d = self.deliveries.swap_remove(i);
-                self.stats.record_delivery(now - d.packet.injected_at);
+                let packet = self.packets[d.slot as usize]
+                    .take()
+                    .expect("an in-flight slot holds its packet");
+                self.free.push(d.slot);
+                self.stats.record_delivery(now - packet.injected_at);
                 self.in_network -= 1;
-                out.push((d.node, d.packet.payload));
+                out.push((d.node, packet.payload));
             } else {
                 self.wake_hint = self.wake_hint.min(due);
                 i += 1;
             }
         }
     }
+}
+
+#[inline]
+fn bit(r: usize) -> u64 {
+    1u64 << (r % 64)
 }
 
 #[inline]
@@ -814,6 +823,16 @@ mod tests {
         let got = drive(&mut recycled);
         assert_eq!(got, expected, "recycled network must replay identically");
         assert_eq!(format!("{:?}", recycled.stats()), expected_stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the FIFO ring capacity of 8 packets")]
+    fn buffers_deeper_than_the_ring_are_rejected() {
+        let config = NocConfig {
+            pipeline_depth: 4,
+            buffer_flits: RING_SLOTS as u32 + 1,
+        };
+        let _: Network<u32> = Network::new(Mesh::paper(), config);
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub enum VirtualNetwork {
 impl VirtualNetwork {
     pub const COUNT: usize = 3;
 
+    /// Every virtual network, in index order.
+    pub const ALL: [VirtualNetwork; 3] = [
+        VirtualNetwork::Request,
+        VirtualNetwork::Forward,
+        VirtualNetwork::Response,
+    ];
+
     #[inline]
     pub fn index(self) -> usize {
         match self {

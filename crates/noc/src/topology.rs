@@ -35,6 +35,23 @@ impl Port {
     }
 }
 
+/// The XY dimension-order output port at mesh coordinates `here` for a
+/// packet bound to coordinates `dst`: X first, then Y, then eject.
+#[inline]
+pub(crate) fn xy_port((hx, hy): (u16, u16), (dx, dy): (u16, u16)) -> Port {
+    if dx > hx {
+        Port::East
+    } else if dx < hx {
+        Port::West
+    } else if dy > hy {
+        Port::South
+    } else if dy < hy {
+        Port::North
+    } else {
+        Port::Local
+    }
+}
+
 /// A `width x height` mesh with nodes numbered row-major: node `(x, y)` has
 /// id `y * width + x`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,19 +99,7 @@ impl Mesh {
     /// first, then in Y, then eject. DOR on a mesh is minimal and
     /// deadlock-free (no turn from Y back to X).
     pub fn route_xy(&self, here: NodeId, dst: NodeId) -> Port {
-        let (hx, hy) = self.coords(here);
-        let (dx, dy) = self.coords(dst);
-        if dx > hx {
-            Port::East
-        } else if dx < hx {
-            Port::West
-        } else if dy > hy {
-            Port::South
-        } else if dy < hy {
-            Port::North
-        } else {
-            Port::Local
-        }
+        xy_port(self.coords(here), self.coords(dst))
     }
 
     /// Neighbor of `node` through `port`, if it exists.

@@ -4,10 +4,14 @@
 //! every cycle it drains every NI queue, then visits every router in
 //! `0..n`, every output port, and every (input port, vnet) candidate in
 //! round-robin order, calling `Mesh::route_xy` on each head. `Network`
-//! gets the same answers with cached routes, per-router wake cycles and
-//! per-port eligibility masks; this file checks that claim cycle by cycle
-//! under seeded traffic (uniform, hotspot with credit saturation, and
-//! `stall_links` bursts) on square and non-square meshes.
+//! gets the same answers with cached routes, inline FIFO head state, a
+//! router wake calendar and per-port eligibility masks; this file checks
+//! that claim cycle by cycle under seeded traffic (uniform, hotspot with
+//! credit saturation at several buffer sizes, `stall_links` bursts, and
+//! stacked stalls many times the calendar's 64-cycle horizon) on square
+//! and non-square meshes, including ones whose router masks span several
+//! 64-bit words (9x9 leaves the last word partly empty), and on networks
+//! recycled by `reset` in mid-flight.
 //!
 //! Each scenario drives three networks: the reference, `Network` stepped
 //! every cycle, and `Network` stepped only when `next_wake` (or an
@@ -25,11 +29,6 @@ use puno_sim::{Cycle, Cycles, NodeId, SimRng};
 use std::collections::VecDeque;
 
 const CANDIDATES: usize = 5 * VirtualNetwork::COUNT;
-const VNETS: [VirtualNetwork; 3] = [
-    VirtualNetwork::Request,
-    VirtualNetwork::Forward,
-    VirtualNetwork::Response,
-];
 
 fn opposite(port: Port) -> Port {
     match port {
@@ -235,10 +234,20 @@ struct Trio {
 
 impl Trio {
     fn new(mesh: Mesh, config: NocConfig) -> Self {
+        Self::with(
+            mesh,
+            config,
+            Network::new(mesh, config),
+            Network::new(mesh, config),
+        )
+    }
+
+    /// A trio whose two `Network`s are given (e.g. recycled by `reset`).
+    fn with(mesh: Mesh, config: NocConfig, every: Network<u32>, skipping: Network<u32>) -> Self {
         Self {
             reference: RefNet::new(mesh, config),
-            every: Network::new(mesh, config),
-            skipping: Network::new(mesh, config),
+            every,
+            skipping,
             cycles: 0,
             skipping_steps: 0,
         }
@@ -375,7 +384,10 @@ fn probe_burst(mesh: Mesh, at: Cycle) -> Plan {
 /// Run `plan`, stall links right before the probe so it meets both fresh
 /// and expired horizons, then run the probe burst; every step compared.
 fn check(mesh: Mesh, config: NocConfig, plan: &Plan, label: &str) -> Trio {
-    let mut trio = Trio::new(mesh, config);
+    check_trio(Trio::new(mesh, config), mesh, plan, label)
+}
+
+fn check_trio(mut trio: Trio, mesh: Mesh, plan: &Plan, label: &str) -> Trio {
     let first = trio.play(plan, 0, label);
     assert!(!first.is_empty(), "{label}: scenario delivered nothing");
     trio.assert_stats_agree(label);
@@ -396,8 +408,23 @@ fn meshes() -> [Mesh; 3] {
     [Mesh::new(4, 4), Mesh::new(8, 8), Mesh::new(3, 5)]
 }
 
+/// Meshes of more than 64 routers: 9x9 leaves its last mask word partly
+/// empty, 16x16 fills four.
+fn large_meshes() -> [Mesh; 2] {
+    [Mesh::new(9, 9), Mesh::new(16, 16)]
+}
+
+/// `count` uniformly random packets injected over `window` cycles.
+fn uniform_plan(rng: &mut SimRng, n: u64, count: u32, window: u64) -> Plan {
+    let mut plan: Plan = (0..count)
+        .map(|i| (rng.gen_range(window), random_packet(rng, n, i).2))
+        .collect();
+    plan.sort_by_key(|a| a.0);
+    plan
+}
+
 fn random_packet(rng: &mut SimRng, n: u64, payload: u32) -> (VirtualNetwork, u32, Action) {
-    let vnet = VNETS[rng.gen_range(3) as usize];
+    let vnet = VirtualNetwork::ALL[rng.gen_range(3) as usize];
     let flits = if vnet == VirtualNetwork::Response && rng.gen_bool(0.7) {
         DATA_FLITS
     } else {
@@ -415,13 +442,10 @@ fn random_packet(rng: &mut SimRng, n: u64, payload: u32) -> (VirtualNetwork, u32
 
 #[test]
 fn uniform_traffic_matches_reference() {
-    for (k, mesh) in meshes().into_iter().enumerate() {
+    for (k, mesh) in meshes().into_iter().chain(large_meshes()).enumerate() {
         let n = mesh.nodes() as u64;
         let mut rng = SimRng::new(0xD1FF + k as u64);
-        let mut plan: Plan = (0..40 * n as u32)
-            .map(|i| (rng.gen_range(1_500), random_packet(&mut rng, n, i).2))
-            .collect();
-        plan.sort_by_key(|a| a.0);
+        let plan = uniform_plan(&mut rng, n, 40 * n as u32, 1_500);
         let trio = check(
             mesh,
             NocConfig::default(),
@@ -440,7 +464,7 @@ fn uniform_traffic_matches_reference() {
 
 #[test]
 fn hotspot_traffic_with_credit_saturation_matches_reference() {
-    for (k, mesh) in meshes().into_iter().enumerate() {
+    for (k, mesh) in meshes().into_iter().chain([Mesh::new(9, 9)]).enumerate() {
         let n = mesh.nodes() as u64;
         let mut rng = SimRng::new(0x407 + k as u64);
         let hot = (n / 2) as u16;
@@ -472,6 +496,16 @@ fn hotspot_traffic_with_credit_saturation_matches_reference() {
                 pipeline_depth: 1,
                 buffer_flits: DATA_FLITS,
             },
+            // Buffers that hold one data packet, or one plus a control
+            // packet: credit runs out at every hop.
+            NocConfig {
+                pipeline_depth: 4,
+                buffer_flits: 5,
+            },
+            NocConfig {
+                pipeline_depth: 3,
+                buffer_flits: 6,
+            },
         ] {
             check(mesh, config, &plan, &format!("hotspot {mesh:?} {config:?}"));
         }
@@ -480,7 +514,7 @@ fn hotspot_traffic_with_credit_saturation_matches_reference() {
 
 #[test]
 fn link_stall_bursts_match_reference() {
-    for (k, mesh) in meshes().into_iter().enumerate() {
+    for (k, mesh) in meshes().into_iter().chain(large_meshes()).enumerate() {
         let n = mesh.nodes() as u64;
         let mut rng = SimRng::new(0x57A11 + k as u64);
         let mut plan: Plan = (0..20 * n as u32)
@@ -506,6 +540,111 @@ fn link_stall_bursts_match_reference() {
             NocConfig::default(),
             &plan,
             &format!("stalls {mesh:?}"),
+        );
+    }
+}
+
+/// Stalls of 4-10x the wake calendar's 64-cycle horizon, several stacked
+/// on one router (longer ones extending it, shorter ones landing inside
+/// it), so routers wait in the calendar's far set and must migrate back.
+fn long_stall_plan(rng: &mut SimRng, n: u64) -> Plan {
+    let mut plan = uniform_plan(rng, n, 12 * n as u32, 3_000);
+    for burst in 0..8u64 {
+        let at = burst * 350 + rng.gen_range(50);
+        let node = rng.gen_range(n) as u16;
+        for (j, cycles) in [256, 640, 300, 100].into_iter().enumerate() {
+            plan.push((at + j as u64 * 20, Action::Stall { node, cycles }));
+        }
+        let other = rng.gen_range(n) as u16;
+        plan.push((
+            at + 7,
+            Action::Stall {
+                node: other,
+                cycles: 256 + rng.gen_range(400),
+            },
+        ));
+    }
+    plan.sort_by_key(|a| a.0);
+    plan
+}
+
+#[test]
+fn long_stacked_stalls_match_reference() {
+    for (k, mesh) in [Mesh::new(4, 4), Mesh::new(3, 5), Mesh::new(9, 9)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = SimRng::new(0xFA2 + k as u64);
+        let plan = long_stall_plan(&mut rng, mesh.nodes() as u64);
+        let trio = check(
+            mesh,
+            NocConfig::default(),
+            &plan,
+            &format!("long stalls {mesh:?}"),
+        );
+        assert!(
+            trio.skipping_steps < trio.cycles,
+            "long stalls {mesh:?}: no step skipped"
+        );
+    }
+}
+
+/// `reset` in mid-flight — packets in NI queues, FIFOs and ejection, and
+/// routers filed both near and far in the wake calendar — leaves networks
+/// that replay a scenario exactly like fresh ones.
+#[test]
+fn networks_reset_in_mid_flight_match_fresh_ones() {
+    for (k, mesh) in [Mesh::new(4, 4), Mesh::new(9, 9)].into_iter().enumerate() {
+        let n = mesh.nodes() as u64;
+        let config = NocConfig::default();
+        let mut rng = SimRng::new(0x2E5E7 + k as u64);
+        let dirty = long_stall_plan(&mut rng, n);
+        let plan = uniform_plan(&mut rng, n, 20 * n as u32, 800);
+        let label = format!("reset {mesh:?}");
+        let fresh = check(mesh, config, &plan, &label);
+
+        let mut recycled = [Network::new(mesh, config), Network::new(mesh, config)];
+        let mut out = Vec::new();
+        for (i, net) in recycled.iter_mut().enumerate() {
+            let stop = 600 + 173 * i as Cycle;
+            let mut cursor = 0;
+            for now in 0..stop {
+                while cursor < dirty.len() && dirty[cursor].0 == now {
+                    match dirty[cursor].1 {
+                        Action::Inject {
+                            src,
+                            dst,
+                            vnet,
+                            flits,
+                            payload,
+                        } => net.inject(now, NodeId(src), NodeId(dst), vnet, flits, payload),
+                        Action::Stall { node, cycles } => {
+                            net.stall_links(now, NodeId(node), cycles)
+                        }
+                    }
+                    cursor += 1;
+                }
+                net.step_into(now, &mut out);
+            }
+            assert!(
+                !net.is_idle(),
+                "{label}: dirtying traffic drained before the reset"
+            );
+            net.reset();
+            assert!(net.is_idle() && net.active_router_count() == 0, "{label}");
+            assert_eq!(net.next_wake(), Cycle::MAX, "{label}");
+        }
+        let [every, skipping] = recycled;
+        let trio = check_trio(
+            Trio::with(mesh, config, every, skipping),
+            mesh,
+            &plan,
+            &label,
+        );
+        assert_eq!(
+            trio.skipping.active_scan_ratio(),
+            fresh.skipping.active_scan_ratio(),
+            "{label}: recycled network visited different routers"
         );
     }
 }
